@@ -177,13 +177,16 @@ def apply_cmd(registry_path, plan_path, nu_true):
     """Apply a trim plan to the registry (optionally simulating outcomes)."""
     reg = registry.load_registry(registry_path)
     plan, provenance = registry.load_plan(plan_path)
+    removals = {}
     for action in plan.actions:
-        rec = reg.resonators.get(action.resonator_id)
+        removals[action.resonator_id] = removals.get(action.resonator_id, 0) + action.n_remove
+    for rid, n_remove in removals.items():
+        rec = reg.resonators.get(rid)
         if rec is None:
-            raise ValidationError(f"plan references unknown resonator {action.resonator_id!r}")
-        if action.n_remove > rec.shoelaces.remaining:
+            raise ValidationError(f"plan references unknown resonator {rid!r}")
+        if n_remove > rec.shoelaces.remaining:
             raise ValidationError(
-                f"{rec.id}: plan removes {action.n_remove}, only "
+                f"{rec.id}: plan removes {n_remove}, only "
                 f"{rec.shoelaces.remaining} shoelaces remain"
             )
     cycle = plan.cycle_index or reg.next_cycle_index()

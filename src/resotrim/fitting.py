@@ -13,7 +13,7 @@ import numpy as np
 from scipy.signal import find_peaks, peak_widths
 
 from .errors import InvalidTraceError, NoResonanceError
-from .pairmodel import PairParams
+from .pairmodel import PairParams, _s21
 
 __all__ = [
     "TransmissionTrace",
@@ -180,35 +180,15 @@ def _model_and_jacobian(theta, f, names):
     theta packs (f_r, f_p, log j, log kappa[, log gamma_r, log gamma_p,
     log kappa_drive]); absent loss rates are zero.
     """
-    f_r, f_p = theta[0], theta[1]
     j, kappa = math.exp(theta[2]), math.exp(theta[3])
-    gamma_r = math.exp(theta[4]) if len(names) > 4 else 0.0
-    gamma_p = math.exp(theta[5]) if len(names) > 4 else 0.0
-    kappa_d = math.exp(theta[6]) if len(names) > 4 else 0.0
-
-    d_r = f_r - f
-    d_p = f_p - f
-    t_r = gamma_r + 2j * d_r + kappa_d
-    t_p = gamma_p + 2j * d_p + kappa
-    num = 0.5 * kappa * t_r
-    den = 4.0 * j**2 + t_p * t_r
-    s = 1.0 - num / den
-    den2 = den**2
-
-    cols = []
-    # d/d f_r
-    cols.append(-((0.5 * kappa * 2j) * den - num * (t_p * 2j)) / den2)
-    # d/d f_p
-    cols.append(num * (2j * t_r) / den2)
-    # d/d log j
-    cols.append(j * (num * 8.0 * j / den2))
-    # d/d log kappa
-    cols.append(kappa * (-((0.5 * t_r) * den - num * t_r) / den2))
-    if len(names) > 4:
-        d_tr = -((0.5 * kappa) * den - num * t_p) / den2
-        cols.append(gamma_r * d_tr)  # d/d log gamma_r
-        cols.append(gamma_p * (num * t_r / den2))  # d/d log gamma_p
-        cols.append(kappa_d * d_tr)  # d/d log kappa_drive
+    lossy = len(names) > 4
+    gamma_r, gamma_p, kappa_d = map(math.exp, theta[4:7]) if lossy else (0.0, 0.0, 0.0)
+    s, d = _s21(f, theta[0], theta[1], j, kappa, gamma_r + kappa_d, gamma_p,
+                n_jac=6 if lossy else 4)
+    cols = [d[0], d[1], j * d[2], kappa * d[3]]
+    if lossy:
+        # gamma_r and kappa_drive enter only through their sum
+        cols += [gamma_r * d[4], gamma_p * d[5], kappa_d * d[4]]
     return s, np.stack(cols, axis=1)
 
 

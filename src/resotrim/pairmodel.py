@@ -78,16 +78,39 @@ class ModeDescriptor:
     degenerate: bool = False
 
 
+def _s21(f, f_r, f_p, j, kappa, g_r=0.0, g_p=0.0, n_jac=0):
+    """Pair transmission from plain-float parameters, optionally with partials.
+
+    ``g_r`` is the extra readout decay gamma_r + kappa_drive and ``g_p``
+    the Purcell intrinsic loss gamma_p. With ``n_jac`` of 4 or 6, also
+    returns the first ``n_jac`` partial derivatives of S21 with respect
+    to (f_r, f_p, j, kappa, g_r, g_p), as a list of arrays.
+    """
+    t_r = g_r + 2j * (f_r - f)
+    t_p = g_p + 2j * (f_p - f) + kappa
+    num = 0.5 * kappa * t_r
+    den = 4.0 * j**2 + t_p * t_r
+    s = 1.0 - num / den
+    if not n_jac:
+        return s
+    den2 = den**2
+    partials = [
+        -((0.5 * kappa * 2j) * den - num * (t_p * 2j)) / den2,
+        num * (2j * t_r) / den2,
+        num * 8.0 * j / den2,
+        -((0.5 * t_r) * den - num * t_r) / den2,
+    ]
+    if n_jac > 4:
+        partials += [-((0.5 * kappa) * den - num * t_p) / den2, num * t_r / den2]
+    return s, partials
+
+
 def s21_ideal(f, p):
     """Lossless feedline transmission of a pair at probe frequency f (Hz).
 
     Accepts a scalar or array of frequencies; returns complex values.
     """
-    d_r = p.f_r - np.asarray(f, dtype=float)
-    d_p = p.f_p - np.asarray(f, dtype=float)
-    num = 1j * p.kappa * d_r
-    den = 4.0 * p.j**2 + (2j * d_p + p.kappa) * (2j * d_r)
-    out = 1.0 - num / den
+    out = _s21(np.asarray(f, dtype=float), p.f_r, p.f_p, p.j, p.kappa)
     return out if np.ndim(out) else complex(out)
 
 
@@ -96,12 +119,30 @@ def s21_full(f, p):
 
     Reduces to :func:`s21_ideal` when gamma_r = gamma_p = kappa_drive = 0.
     """
-    d_r = p.f_r - np.asarray(f, dtype=float)
-    d_p = p.f_p - np.asarray(f, dtype=float)
-    t_r = p.gamma_r + 2j * d_r + p.kappa_drive
-    t_p = p.gamma_p + 2j * d_p + p.kappa
-    out = 1.0 - (0.5 * p.kappa) * t_r / (4.0 * p.j**2 + t_p * t_r)
+    out = _s21(np.asarray(f, dtype=float), p.f_r, p.f_p, p.j, p.kappa,
+               p.gamma_r + p.kappa_drive, p.gamma_p)
     return out if np.ndim(out) else complex(out)
+
+
+# relative eigenvalue gap below which the pair is treated as defective
+_EP_RTOL = 1e-9
+
+
+def _modes(f_r, f_p, j, g_r, g_p):
+    """Closed-form modes of the coupled-mode matrix, broadcast over arrays.
+
+    The matrix is [[f_r - i g_r/2, j], [j, f_p - i g_p/2]] in Hz. With
+    h = ((f_p - f_r) - i (g_p - g_r)/2) / 2 and s = sqrt(h^2 + j^2) on the
+    principal branch (Re s >= 0), its eigenvalues are f_r - i g_r/2 + h -/+ s
+    and the readout weight of each eigenvector is j^2 / (j^2 + |h -/+ s|^2).
+    Returns (eigenvalues, readout weights, |eigenvalue gap|); the first two
+    carry a new leading axis holding the lower then the upper mode.
+    """
+    h = 0.5 * ((f_p - f_r) - 0.5j * (g_p - g_r))
+    s = np.sqrt(h * h + j * j)
+    hs = np.stack([h - s, h + s])
+    weights = j * j / (j * j + np.abs(hs) ** 2)
+    return (f_r - 0.5j * g_r) + hs, weights, 2.0 * np.abs(s)
 
 
 def kappa_eff_pair(j, kappa, delta_pr):
@@ -120,61 +161,18 @@ def kappa_eff_pair(j, kappa, delta_pr):
     delta_pr = np.asarray(delta_pr, dtype=float)
     if np.any(j <= 0) or np.any(kappa <= 0):
         raise DomainError("j and kappa must be positive")
-    root = np.sqrt(np.asarray(-16.0 * j**2 + (kappa - 2j * delta_pr) ** 2, dtype=complex))
-    r_like = 0.5 * (kappa - root.real)
-    p_like = 0.5 * (kappa + root.real)
+    vals, _, _ = _modes(0.0, delta_pr, j, 0.0, kappa)
+    kappas = -2.0 * vals.imag
+    r_like, p_like = kappas.min(axis=0), kappas.max(axis=0)
     if r_like.ndim == 0:
         return float(r_like), float(p_like)
     return r_like, p_like
 
 
-def _mode_matrix(p, excited):
-    """2x2 complex coupled-mode matrix in Hz units.
-
-    The full dispersive pull ``chi`` sits on the bare readout diagonal
-    entry when the qubit is excited; per-mode pulls are outputs.
-    """
-    w_r = p.f_r + (p.chi if excited else 0.0)
-    g_r = p.gamma_r + p.kappa_drive
-    return np.array(
-        [
-            [w_r - 0.5j * g_r, p.j],
-            [p.j, p.f_p - 0.5j * (p.kappa + p.gamma_p)],
-        ],
-        dtype=complex,
-    )
-
-
-# relative eigenvalue gap below which the matrix is treated as defective
-_EP_RTOL = 1e-9
-
-
-def _sorted_modes(p, excited):
-    """Eigen-decomposition sorted by real eigenfrequency.
-
-    Returns (freqs, kappa_effs, r_weights, degenerate).
-    """
-    m = _mode_matrix(p, excited)
-    vals, vecs = np.linalg.eig(m)
-    order = np.argsort(vals.real)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    freqs = vals.real
-    kappas = -2.0 * vals.imag
-    scale = max(abs(vals[0]), abs(vals[1]), p.kappa)
-    degenerate = abs(vals[0] - vals[1]) <= _EP_RTOL * scale
-    if degenerate:
-        weights = np.array([0.5, 0.5])
-    else:
-        mags = np.abs(vecs) ** 2
-        weights = mags[0, :] / mags.sum(axis=0)
-    return freqs, kappas, weights, degenerate
-
-
 def eigenmodes(p, qubit_state="ground"):
     """Hybridized modes of the pair for the given qubit state.
 
-    Builds the coupled-mode matrix for both qubit states; each returned
+    Solves the coupled-mode problem for both qubit states; each returned
     :class:`ModeDescriptor` carries the frequency, linewidth and
     eigenvector weight for the requested state and the state-dependent
     frequency pull ``chi_eff`` of that mode (excited minus ground, modes
@@ -184,22 +182,26 @@ def eigenmodes(p, qubit_state="ground"):
     """
     if qubit_state not in ("ground", "excited"):
         raise DomainError(f"unknown qubit state {qubit_state!r}")
-    fg, kg, wg, dg = _sorted_modes(p, excited=False)
-    fe, ke, we, de = _sorted_modes(p, excited=True)
-    pulls = fe - fg
-    if qubit_state == "ground":
-        freqs, kappas, weights, degenerate = fg, kg, wg, dg
-    else:
-        freqs, kappas, weights, degenerate = fe, ke, we, de
+    # last axis: ground, excited (chi sits on the bare readout frequency)
+    vals, weights, gap = _modes(
+        p.f_r + np.array([0.0, p.chi]), p.f_p, p.j,
+        p.gamma_r + p.kappa_drive, p.kappa + p.gamma_p,
+    )
+    pulls = vals.real[:, 1] - vals.real[:, 0]
+    k = 0 if qubit_state == "ground" else 1
+    vals, weights = vals[:, k], weights[:, k]
+    degenerate = gap[k] <= _EP_RTOL * max(abs(vals[0]), abs(vals[1]), p.kappa)
+    if degenerate:
+        weights = (0.5, 0.5)
     return tuple(
         ModeDescriptor(
-            f_mode=float(freqs[k]),
-            kappa_eff=float(kappas[k]),
-            chi_eff=float(pulls[k]),
-            r_weight=float(weights[k]),
+            f_mode=float(vals[m].real),
+            kappa_eff=float(-2.0 * vals[m].imag),
+            chi_eff=float(pulls[m]),
+            r_weight=float(weights[m]),
             degenerate=bool(degenerate),
         )
-        for k in range(2)
+        for m in range(2)
     )
 
 

@@ -154,10 +154,19 @@ def shift_to_count(f0, nu_rho, target_shift, remaining, pitch=DEFAULT_PITCH, shi
             f"{max_shift:.3e} Hz",
             max_shift=max_shift,
         )
-    best_n, best_err = 0, abs(target_shift)
+    return _closest_count(lambda n: shift_fn(f0, n * pitch), target_shift, remaining)
+
+
+def _closest_count(landing, target, remaining):
+    """Count in [0, remaining] whose landing(n) is closest to target.
+
+    Ties, within 1e-12 of the starting distance, keep fewer removals.
+    """
+    best_n, best_err = 0, abs(landing(0) - target)
+    tol = 1e-12 * max(1.0, best_err)
     for n in range(1, remaining + 1):
-        err = abs(shift_fn(f0, n * pitch) - target_shift)
-        if err < best_err - 1e-12 * max(1.0, abs(target_shift)):
+        err = abs(landing(n) - target)
+        if err < best_err - tol:
             best_n, best_err = n, err
     return best_n
 
@@ -194,12 +203,11 @@ def plan_pair_match(r, p, nu_rho, shift_fn=None):
         raise UnmatchableError(
             f"{high.id} has no shoelaces left and the gap is {gap:.3e} Hz"
         )
-    best_n, best_gap = 0, gap
-    for n in range(1, high.shoelaces.remaining + 1):
-        new_gap = abs(high.f_meas + shift_fn(high.f_meas, n * high.shoelaces.pitch) - low.f_meas)
-        if new_gap < best_gap - 1e-12 * max(1.0, gap):
-            best_n, best_gap = n, new_gap
-    return _action(high, best_n, shift_fn)
+    n = _closest_count(
+        lambda k: high.f_meas + shift_fn(high.f_meas, k * high.shoelaces.pitch),
+        low.f_meas, high.shoelaces.remaining,
+    )
+    return _action(high, n, shift_fn)
 
 
 def _pair_candidates(entry, nu_rho, shift_fn):

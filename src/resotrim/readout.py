@@ -1,7 +1,7 @@
 """Synthetic single-shot readout generation and benchmark estimators."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +61,6 @@ class ReadoutBenchmarks:
     eps_ro: float
     threshold: float
     axis: tuple
-    p_qnd: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def synth_shots(model, n_per_state, seed):

@@ -160,14 +160,53 @@ def _registry_to_doc(reg):
     return doc
 
 
+def _objects(doc, key, problems):
+    """(index, entry) for each object in the list doc[key]; others go to problems."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        problems.append(f"{key}: expected a list, got {type(entries).__name__}")
+        return []
+    out = []
+    for i, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            out.append((i, entry))
+        else:
+            problems.append(f"{key}[{i}]: expected an object, got {type(entry).__name__}")
+    return out
+
+
+def _bad_ids(where, entry, keys, problems):
+    """Record id fields that are set but not strings; True when any is."""
+    bad = [k for k in keys if entry.get(k) is not None and not isinstance(entry[k], str)]
+    problems.extend(f"{where}.{k}: expected a string, got {type(entry[k]).__name__}" for k in bad)
+    return bool(bad)
+
+
+def _pair_rates(i, entry, problems):
+    """PairLink rate fields as floats (absent j/kappa stay None); bad ones go to problems."""
+    rates = {}
+    for name, default in (("j", None), ("kappa", None), ("chi", 0.0),
+                          ("gamma_r", 0.0), ("gamma_p", 0.0), ("kappa_drive", 0.0)):
+        value = entry.get(f"{name}_hz")
+        try:
+            rates[name] = default if value is None else float(value)
+        except (TypeError, ValueError):
+            problems.append(f"pairs[{i}].{name}_hz: not a number: {value!r}")
+    return rates
+
+
 def _doc_to_registry(doc):
     problems = []
+    if not isinstance(doc, dict):
+        raise ValidationError(f"registry must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported registry version {doc.get('version')!r}")
     reg = DeviceRegistry(device_id=doc.get("device_id", ""))
     reg.extras = {k: v for k, v in doc.items()
                   if k not in ("version", "device_id", "resonators", "transmons", "pairs", "history")}
-    for i, entry in enumerate(doc.get("resonators", [])):
+    for i, entry in _objects(doc, "resonators", problems):
+        if _bad_ids(f"resonators[{i}]", entry, ("id",), problems):
+            continue
         try:
             sh = entry["shoelaces"]
             rec = ResonatorRecord(
@@ -186,35 +225,35 @@ def _doc_to_registry(doc):
         extras = {k: v for k, v in entry.items() if k not in _RES_KEYS}
         if extras:
             reg.res_extras[rec.id] = extras
-    for i, entry in enumerate(doc.get("transmons", [])):
+    for i, entry in _objects(doc, "transmons", problems):
+        if _bad_ids(f"transmons[{i}]", entry, ("id",), problems):
+            continue
         try:
             t = TransmonEntry(
                 id=entry["id"], f_q=entry.get("f_q_hz"), alpha=entry.get("alpha_hz"),
                 e_j=entry.get("e_j_hz"), e_c=entry.get("e_c_hz"), r_j=entry.get("r_j_ohm"),
                 extras={k: v for k, v in entry.items() if k not in _TRANSMON_KEYS},
             )
-        except (KeyError, TypeError) as exc:
-            problems.append(f"transmons[{i}]: {exc}")
+        except KeyError as exc:
+            problems.append(f"transmons[{i}]: missing {exc}")
             continue
         reg.transmons[t.id] = t
-    for i, entry in enumerate(doc.get("pairs", [])):
+    for i, entry in _objects(doc, "pairs", problems):
+        rates = _pair_rates(i, entry, problems)
+        if _bad_ids(f"pairs[{i}]", entry, ("id", "transmon", "readout", "purcell"), problems):
+            continue
         try:
             p = PairLink(
                 id=entry["id"], transmon=entry.get("transmon"),
                 readout=entry["readout"], purcell=entry["purcell"],
-                feedline=entry.get("feedline"),
-                j=entry.get("j_hz"), kappa=entry.get("kappa_hz"),
-                chi=entry.get("chi_hz", 0.0) or 0.0,
-                gamma_r=entry.get("gamma_r_hz", 0.0) or 0.0,
-                gamma_p=entry.get("gamma_p_hz", 0.0) or 0.0,
-                kappa_drive=entry.get("kappa_drive_hz", 0.0) or 0.0,
+                feedline=entry.get("feedline"), **rates,
                 extras={k: v for k, v in entry.items() if k not in _PAIR_KEYS},
             )
         except KeyError as exc:
             problems.append(f"pairs[{i}]: missing {exc}")
             continue
         reg.pairs[p.id] = p
-    reg.history = list(doc.get("history", []))
+    reg.history = [h for _, h in _objects(doc, "history", problems)]
     if problems:
         raise ValidationError("registry schema violation", paths=problems)
     reg.validate()

@@ -135,6 +135,28 @@ class TestPlanAndApply:
         assert "validation:" in result.output
         assert reg_path.read_text() == before
 
+    def test_apply_checks_total_removals_per_resonator(self, runner, tmp_path):
+        # each action fits the budget of 10 on its own; together they do not
+        reg_path = tmp_path / "reg.json"
+        small_registry(reg_path, [(7.5e9, 7.521e9)])
+        before = reg_path.read_bytes()
+        action = {
+            "resonator_id": "p0", "n_remove": 6, "delta_l": 6 * 5e-6,
+            "predicted_delta_f": -6e6, "predicted_f": 7.515e9,
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "version": 1, "cycle_index": 1, "feasible": True,
+            "objective_before_hz": 0.0, "objective_after_hz": 0.0, "notes": [],
+            "provenance": {}, "actions": [action, action],
+        }))
+        result = runner.invoke(
+            main, ["apply", "--registry", str(reg_path), "--plan", str(plan_path)]
+        )
+        assert result.exit_code == 2
+        assert "plan removes 12, only 10" in result.stderr
+        assert reg_path.read_bytes() == before
+
     def test_plan_crowding_runs(self, runner, tmp_path):
         reg_path = tmp_path / "reg.json"
         small_registry(
@@ -200,6 +222,26 @@ class TestReport:
         monkeypatch.setenv("RESOTRIM_REGISTRY", str(reg_path))
         result = runner.invoke(main, ["report", "--json"])
         assert result.exit_code == 0, result.output
+
+
+MALFORMED_REGISTRIES = {
+    "pairs-string": lambda doc: {**doc, "pairs": "pair0"},
+    "top-level-array": lambda doc: [doc],
+    "j-not-a-number": lambda doc: {**doc, "pairs": [{**doc["pairs"][0], "j_hz": "ten"}]},
+    "history-object": lambda doc: {**doc, "history": {"event": "apply"}},
+    "readout-id-list": lambda doc: {**doc, "pairs": [{**doc["pairs"][0], "readout": ["r0"]}]},
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_REGISTRIES.values(), ids=MALFORMED_REGISTRIES)
+def test_malformed_registry_is_a_validation_error(runner, tmp_path, corrupt):
+    reg_path = tmp_path / "reg.json"
+    small_registry(reg_path, [(7.5e9, 7.502e9)])
+    reg_path.write_text(json.dumps(corrupt(json.loads(reg_path.read_text()))))
+    result = runner.invoke(main, ["report", "--registry", str(reg_path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.splitlines()[0].startswith("validation: ")
+    assert "Traceback" not in result.output
 
 
 class TestSimulate:

@@ -1,8 +1,9 @@
 """Coupled-mode model tests.
 
 The full-transmission oracle is an independent extended-precision
-re-implementation of the lossy formula in mpmath; the linewidth formula
-is checked against the eigenvalues of the coupled-mode matrix.
+re-implementation of the lossy formula in mpmath; the closed-form mode
+solver is checked against numpy's eigen-decomposition of the coupled-mode
+matrix.
 """
 
 import math
@@ -10,6 +11,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resotrim.errors import DomainError, InvalidParamsError
 from resotrim.pairmodel import (
@@ -34,6 +37,14 @@ def s21_full_oracle(f, p):
             4 * mpmath.mpf(p.j) ** 2 + t_p * t_r
         )
         return complex(val)
+
+
+def detuning_frame_matrix(p, excited=False):
+    """Coupled-mode matrix (Hz) with the bare readout frequency subtracted."""
+    return np.array([
+        [(p.chi if excited else 0.0) - 0.5j * (p.gamma_r + p.kappa_drive), p.j],
+        [p.j, p.delta_pr - 0.5j * (p.kappa + p.gamma_p)],
+    ])
 
 
 class TestS21Ideal:
@@ -165,10 +176,10 @@ class TestEigenmodes:
                 kappa=10 ** rng.uniform(4.5, 7.5),
             )
             lo, hi = eigenmodes(p)
-            want = sorted(kappa_eff_pair(p.j, p.kappa, p.delta_pr))
+            # reference: numerical eigenvalues of the detuning-frame matrix
+            vals = np.linalg.eigvals(detuning_frame_matrix(p))
+            want = sorted(-2.0 * vals.imag)
             got = sorted([lo.kappa_eff, hi.kappa_eff])
-            # the absolute floor absorbs eigenvalue rounding at the
-            # 7.5 GHz matrix norm (eps * ||M|| ~ 1e-6 Hz)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-9, abs=1e-3)
 
@@ -203,6 +214,40 @@ class TestEigenmodes:
         p = PairParams(f_r=7.5e9, f_p=7.5e9, j=1e6, kappa=2e6)
         with pytest.raises(DomainError):
             eigenmodes(p, "superposition")
+
+
+rates = st.floats(4.0, 7.5).map(lambda x: 10.0**x)
+losses = st.one_of(st.just(0.0), st.floats(2.0, 6.0).map(lambda x: 10.0**x))
+
+
+@st.composite
+def lossy_pairs(draw):
+    f_r = draw(st.floats(4e9, 8e9))
+    j, kappa = draw(rates), draw(rates)
+    return PairParams(
+        f_r=f_r, f_p=f_r + draw(st.floats(-3.0, 3.0)) * max(j, kappa), j=j, kappa=kappa,
+        gamma_r=draw(losses), gamma_p=draw(losses), kappa_drive=draw(losses),
+        chi=-draw(rates),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(lossy_pairs(), st.sampled_from(["ground", "excited"]))
+def test_eigenmodes_match_numpy_eig(p, state):
+    m = detuning_frame_matrix(p, excited=state == "excited")
+    vals, vecs = np.linalg.eig(m)
+    # eigenvectors are ill-conditioned next to the exceptional point
+    assume(abs(vals[0] - vals[1]) > 1e-3 * np.abs(m).max())
+    modes = eigenmodes(p, state)
+    assert modes[0].f_mode <= modes[1].f_mode
+    assert modes[0].r_weight + modes[1].r_weight == pytest.approx(1.0, abs=1e-12)
+    weights = np.abs(vecs[0]) ** 2 / (np.abs(vecs) ** 2).sum(axis=0)
+    for mode in modes:
+        # pair each mode with the nearest numerical eigenvalue
+        k = int(np.argmin(np.abs(vals + p.f_r - complex(mode.f_mode, -mode.kappa_eff / 2))))
+        assert mode.f_mode == pytest.approx(p.f_r + vals[k].real, rel=0, abs=1e-3)
+        assert mode.kappa_eff == pytest.approx(-2.0 * vals[k].imag, rel=1e-6, abs=1e-3)
+        assert mode.r_weight == pytest.approx(weights[k], rel=0, abs=1e-8)
 
 
 class TestPairParams:
