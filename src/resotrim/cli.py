@@ -8,6 +8,7 @@ path can be set via the RESOTRIM_REGISTRY environment variable.
 
 import csv
 import functools
+import hashlib
 import json
 import sys
 
@@ -167,6 +168,12 @@ def plan_crowding_cmd(registry_path, feedline, guard_band, nu_rho, naive_slope, 
         registry.save_plan(plan, out_path, provenance)
 
 
+def _plan_sha256(plan, provenance):
+    """Hash of the plan's canonical JSON; ``apply`` refuses a hash already in the history."""
+    text = json.dumps(registry.plan_to_doc(plan, provenance), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @main.command("apply")
 @registry_option
 @click.option("--plan", "plan_path", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -177,6 +184,13 @@ def apply_cmd(registry_path, plan_path, nu_true):
     """Apply a trim plan to the registry (optionally simulating outcomes)."""
     reg = registry.load_registry(registry_path)
     plan, provenance = registry.load_plan(plan_path)
+    plan_sha256 = _plan_sha256(plan, provenance)
+    for h in reg.history:
+        if h.get("event") == "apply" and h.get("plan_sha256") == plan_sha256:
+            raise ValidationError(
+                f"plan already applied in cycle {h.get('cycle_index')}; "
+                "re-plan on the updated registry to trim again"
+            )
     removals = {}
     for action in plan.actions:
         removals[action.resonator_id] = removals.get(action.resonator_id, 0) + action.n_remove
@@ -207,8 +221,8 @@ def apply_cmd(registry_path, plan_path, nu_true):
         )
     reg.history.append(
         {"event": "apply", "cycle_index": cycle, "plan": plan_path,
-         "simulated": nu_true is not None, "nu_rho_true_m_per_s": nu_true,
-         "provenance": provenance, "actions": applied}
+         "plan_sha256": plan_sha256, "simulated": nu_true is not None,
+         "nu_rho_true_m_per_s": nu_true, "provenance": provenance, "actions": applied}
     )
     registry.save_registry(reg, registry_path)
     click.echo(json.dumps({"applied": len(applied), "cycle_index": cycle}, sort_keys=True))

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from .errors import InvalidTraceError, NoResonanceError
 from .pairmodel import PairParams, _s21
@@ -119,6 +118,62 @@ def correct_baseline(trace, wing_fraction=0.1, wing_variance_threshold=0.05):
     )
 
 
+def _find_dips(x, min_prominence):
+    """Local maxima of x whose topographic prominence is at least min_prominence.
+
+    Same peaks, prominences and bases as ``scipy.signal.find_peaks(x,
+    prominence=min_prominence)``: a flat top counts once, at its midpoint
+    rounded down, and a peak's base on each side is the lowest point
+    before x first rises above the peak (the one nearest the peak on
+    ties). Returns (peaks, prominences, left_bases, right_bases).
+    """
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:] - 1, len(x) - 1]
+    v = x[starts]
+    top = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    # a prominence never exceeds the height above the global minimum,
+    # so this drops only peaks the scan below would drop too
+    peaks = peaks[x[peaks] - x.min() >= min_prominence]
+    prominences = np.empty(len(peaks))
+    left_bases = np.empty(len(peaks), dtype=np.intp)
+    right_bases = np.empty(len(peaks), dtype=np.intp)
+    for n, p in enumerate(peaks):
+        higher = np.flatnonzero(x > x[p])
+        k = np.searchsorted(higher, p)
+        lo = higher[k - 1] + 1 if k > 0 else 0
+        hi = higher[k] - 1 if k < len(higher) else len(x) - 1
+        left_bases[n] = p - np.argmin(x[lo:p + 1][::-1])
+        right_bases[n] = p + np.argmin(x[p:hi + 1])
+        prominences[n] = x[p] - max(x[left_bases[n]], x[right_bases[n]])
+    keep = prominences >= min_prominence
+    return peaks[keep], prominences[keep], left_bases[keep], right_bases[keep]
+
+
+def _half_widths(x, peaks, prominences, left_bases, right_bases):
+    """Widths in samples at half prominence, linearly interpolated.
+
+    Same as ``scipy.signal.peak_widths(x, peaks, rel_height=0.5)[0]``:
+    each side walks out from the peak, no further than its base, to the
+    first sample at or below the half-height line.
+    """
+    widths = []
+    for p, prom, lb, rb in zip(peaks, prominences, left_bases, right_bases):
+        height = x[p] - prom * 0.5
+        below = np.flatnonzero(x[lb + 1:p + 1] <= height)
+        i = lb + 1 + below[-1] if len(below) else lb
+        left = float(i)
+        if x[i] < height:
+            left += (height - x[i]) / (x[i + 1] - x[i])
+        below = np.flatnonzero(x[p:rb] <= height)
+        i = p + below[0] if len(below) else rb
+        right = float(i)
+        if x[i] < height:
+            right -= (height - x[i]) / (x[i - 1] - x[i])
+        widths.append(right - left)
+    return np.array(widths, dtype=float)
+
+
 def _dip_stats(f, depth, peaks, widths_pts):
     df = float(np.mean(np.diff(f)))
     return [(f[p], depth[p], w * df) for p, w in zip(peaks, widths_pts)]
@@ -137,13 +192,14 @@ def initial_guess(trace, min_depth=0.05):
         raise InvalidTraceError(f"need at least {MIN_FIT_POINTS} points")
     f = trace.freqs
     depth = 1.0 - np.abs(trace.values)
-    peaks, props = find_peaks(depth, prominence=min_depth)
+    peaks, prominences, left_bases, right_bases = _find_dips(depth, min_depth)
     if len(peaks) == 0:
         raise NoResonanceError("no dip below the prominence threshold")
-    order = np.argsort(props["prominences"])[::-1]
-    peaks = np.sort(peaks[order[:2]])
-    widths_pts = peak_widths(depth, peaks, rel_height=0.5)[0]
-    dips = _dip_stats(f, depth, peaks, widths_pts)
+    # the two most prominent dips, in frequency order
+    top = np.sort(np.argsort(prominences)[::-1][:2])
+    widths_pts = _half_widths(depth, peaks[top], prominences[top],
+                              left_bases[top], right_bases[top])
+    dips = _dip_stats(f, depth, peaks[top], widths_pts)
 
     if len(dips) == 1:
         f0, _, w = dips[0]

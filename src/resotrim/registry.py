@@ -9,13 +9,14 @@ a temp file followed by an atomic rename.
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .fitting import TransmissionTrace
 from .pairmodel import PairParams
 from .planner import ResonatorRecord, ShoelaceArray, TrimAction, TrimPlan
@@ -365,27 +366,43 @@ def load_plan(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"plan must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != PLAN_VERSION:
         raise ValidationError(f"unsupported plan version {doc.get('version')!r}")
+    problems = []
+    actions = []
+    for i, a in _objects(doc, "actions", problems):
+        rid, n_remove = a.get("resonator_id"), a.get("n_remove")
+        bad_id = not isinstance(rid, str)
+        bad_count = isinstance(n_remove, bool) or not isinstance(n_remove, int) or n_remove < 0
+        if bad_id:
+            problems.append(f"actions[{i}].resonator_id: expected a string, "
+                            f"got {type(rid).__name__}")
+        if bad_count:
+            problems.append(f"actions[{i}].n_remove: expected a non-negative integer, "
+                            f"got {n_remove!r}")
+        if bad_id or bad_count:
+            continue
+        try:
+            numbers = [float(a[k]) for k in ("delta_l", "predicted_delta_f", "predicted_f")]
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError(f"non-finite number in {numbers}")
+            actions.append(TrimAction(rid, n_remove, *numbers))
+        except (KeyError, TypeError, ValueError, DomainError) as exc:
+            problems.append(f"actions[{i}]: malformed action: {exc}")
+    if problems:
+        raise ValidationError("plan schema violation", paths=problems)
     try:
-        actions = [
-            TrimAction(
-                resonator_id=a["resonator_id"],
-                n_remove=int(a["n_remove"]),
-                delta_l=float(a["delta_l"]),
-                predicted_delta_f=float(a["predicted_delta_f"]),
-                predicted_f=float(a["predicted_f"]),
-            )
-            for a in doc.get("actions", [])
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed plan action: {exc}") from exc
-    plan = TrimPlan(
-        actions=actions,
-        objective_before=float(doc.get("objective_before_hz", 0.0)),
-        objective_after=float(doc.get("objective_after_hz", 0.0)),
-        cycle_index=int(doc.get("cycle_index", 0)),
-        feasible=bool(doc.get("feasible", True)),
-        notes=list(doc.get("notes", [])),
-    )
-    return plan, dict(doc.get("provenance", {}))
+        plan = TrimPlan(
+            actions=actions,
+            objective_before=float(doc.get("objective_before_hz", 0.0)),
+            objective_after=float(doc.get("objective_after_hz", 0.0)),
+            cycle_index=int(doc.get("cycle_index", 0)),
+            feasible=bool(doc.get("feasible", True)),
+            notes=list(doc.get("notes", [])),
+        )
+        provenance = dict(doc.get("provenance", {}))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed plan: {exc}") from exc
+    return plan, provenance

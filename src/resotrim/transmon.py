@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq, root
 
 from .errors import CutoffError, DirectionError, DomainError, InversionError
 
@@ -61,6 +59,10 @@ def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF, population_tol=1e-10):
         raise DomainError("e_j and e_c must be positive")
     if cutoff < 10:
         raise DomainError("cutoff must be at least 10")
+    # scipy is imported on first use: importing it costs about a second,
+    # which every CLI command would pay at start-up
+    from scipy.linalg import eigh_tridiagonal
+
     n = np.arange(-cutoff, cutoff + 1)
     diag = 4.0 * e_c * n.astype(float) ** 2
     off = np.full(len(n) - 1, -e_j / 2.0)
@@ -111,6 +113,8 @@ def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF, tol=1e3,
             raise InversionError(f"iteration left the transmon regime: {exc}") from exc
         return [fq_m - f_q, a_m - alpha]
 
+    from scipy.optimize import root
+
     sol = root(residual, [math.log(e_j0), math.log(e_c0)], method="hybr")
     e_j, e_c = math.exp(sol.x[0]), math.exp(sol.x[1])
     res = residual(sol.x)
@@ -139,6 +143,8 @@ def _ej_from_fq(f_q, e_c, cutoff=DEFAULT_CUTOFF):
         hi *= 1.5
         if hi > seed * 1e6:
             raise InversionError("no e_j solution at this e_c")
+    from scipy.optimize import brentq
+
     return brentq(g, lo, hi, xtol=1e-3, rtol=1e-14)
 
 

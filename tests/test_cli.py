@@ -1,11 +1,15 @@
 """CLI surface tests driven through click's runner."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import resotrim
 from resotrim.cli import main
 from resotrim.fitting import TransmissionTrace
 from resotrim.pairmodel import PairParams, s21_ideal
@@ -157,6 +161,55 @@ class TestPlanAndApply:
         assert "plan removes 12, only 10" in result.stderr
         assert reg_path.read_bytes() == before
 
+    def _plan_and_apply(self, runner, reg_path, plan_path, slope):
+        result = runner.invoke(
+            main,
+            ["plan", "pair", "--registry", str(reg_path), "--all-pairs", *slope,
+             "--out", str(plan_path)],
+        )
+        assert result.exit_code == 0, result.output
+        return runner.invoke(
+            main,
+            ["apply", "--registry", str(reg_path), "--plan", str(plan_path),
+             "--simulate-true-nu-rho", str(NU_RHO)],
+        )
+
+    def test_apply_refuses_a_plan_already_applied(self, runner, tmp_path):
+        reg_path = tmp_path / "reg.json"
+        small_registry(reg_path, [(7.5e9, 7.521e9)])
+        plan_path = tmp_path / "plan1.json"
+        result = self._plan_and_apply(runner, reg_path, plan_path, ["--naive-slope"])
+        assert result.exit_code == 0, result.output
+        before = reg_path.read_bytes()
+        result = runner.invoke(
+            main, ["apply", "--registry", str(reg_path), "--plan", str(plan_path)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("validation: plan already applied in cycle 1")
+        assert reg_path.read_bytes() == before
+
+    def test_replanned_second_cycle_is_accepted(self, runner, tmp_path):
+        reg_path = tmp_path / "reg.json"
+        small_registry(reg_path, [(7.5e9, 7.521e9)])
+        for name, slope in (("plan1.json", ["--naive-slope"]),
+                            ("plan2.json", ["--nu-rho", str(0.9 * NU_RHO)])):
+            result = self._plan_and_apply(runner, reg_path, tmp_path / name, slope)
+            assert result.exit_code == 0, result.output
+        applies = [h for h in load_registry(reg_path).history if h["event"] == "apply"]
+        assert [h["cycle_index"] for h in applies] == [1, 2]
+        assert applies[0]["plan_sha256"] != applies[1]["plan_sha256"]
+
+    def test_history_without_plan_hash_still_loads(self, runner, tmp_path):
+        reg_path = tmp_path / "reg.json"
+        reg = small_registry(reg_path, [(7.5e9, 7.521e9)])
+        reg.history.append({"event": "apply", "cycle_index": 1, "plan": "old.json",
+                            "actions": []})
+        save_registry(reg, reg_path)
+        result = self._plan_and_apply(runner, reg_path, tmp_path / "plan.json",
+                                      ["--naive-slope"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["cycle_index"] == 2
+
     def test_plan_crowding_runs(self, runner, tmp_path):
         reg_path = tmp_path / "reg.json"
         small_registry(
@@ -244,6 +297,41 @@ def test_malformed_registry_is_a_validation_error(runner, tmp_path, corrupt):
     assert "Traceback" not in result.output
 
 
+VALID_ACTION = {"resonator_id": "p0", "n_remove": 3, "delta_l": 3 * 5e-6,
+                "predicted_delta_f": -3e6, "predicted_f": 7.518e9}
+MALFORMED_PLANS = {
+    "top-level-array": [],
+    "actions-object": {"actions": VALID_ACTION},
+    "action-string": {"actions": ["p0"]},
+    "resonator-id-list": {"actions": [{**VALID_ACTION, "resonator_id": ["p0"]}]},
+    "resonator-id-null": {"actions": [{**VALID_ACTION, "resonator_id": None}]},
+    "n-remove-float": {"actions": [{**VALID_ACTION, "n_remove": 2.5}]},
+    "n-remove-string": {"actions": [{**VALID_ACTION, "n_remove": "3"}]},
+    "n-remove-negative": {"actions": [{**VALID_ACTION, "n_remove": -1}]},
+    "predicted-f-nan": {"actions": [{**VALID_ACTION, "predicted_f": float("nan")}]},
+    "predicted-shift-up": {"actions": [{**VALID_ACTION, "predicted_delta_f": 3e6}]},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_PLANS.values(), ids=MALFORMED_PLANS)
+def test_malformed_plan_is_a_validation_error(runner, tmp_path, doc):
+    reg_path = tmp_path / "reg.json"
+    small_registry(reg_path, [(7.5e9, 7.521e9)])
+    before = reg_path.read_bytes()
+    if isinstance(doc, dict):
+        doc = {"version": 1, "cycle_index": 1, "feasible": True, "notes": [],
+               "provenance": {}, **doc}
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(doc))
+    result = runner.invoke(
+        main, ["apply", "--registry", str(reg_path), "--plan", str(plan_path)]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.stderr.splitlines()[0].startswith("validation: ")
+    assert "Traceback" not in result.output
+    assert reg_path.read_bytes() == before
+
+
 class TestSimulate:
     def test_anneal_escalation_scenario(self, runner, tmp_path):
         config = {
@@ -302,3 +390,16 @@ class TestSimulate:
         model_path.write_text(json.dumps(model))
         args = ["simulate", "readout", "--model", str(model_path), "--n", "2000", "--seed", "9"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
+
+
+@pytest.mark.parametrize("module", ["resotrim", "resotrim.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy takes about a second to import; only transmon loads it, on first use
+    src = os.path.dirname(os.path.dirname(resotrim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.signal import find_peaks, peak_widths
 
 from resotrim.errors import InvalidTraceError, NoResonanceError
 from resotrim.fitting import (
@@ -11,6 +15,7 @@ from resotrim.fitting import (
     fit_pair,
     initial_guess,
 )
+from resotrim.fitting import _find_dips, _half_widths
 from resotrim.fitting import _model_and_jacobian, _pack, _IDEAL_NAMES, _FULL_NAMES
 from resotrim.pairmodel import PairParams, s21_full, s21_ideal
 
@@ -114,6 +119,27 @@ class TestInitialGuess:
         # bare readout estimate on the narrow-dip side of center
         assert abs(g.f_r - p.f_r) < abs(g.f_r - p.f_p)
         assert abs(g.f_p - p.f_p) < abs(g.f_p - p.f_r)
+
+
+# small integers make plateaus and equal heights; floats make generic traces
+dip_arrays = st.one_of(
+    arrays(float, st.integers(1, 80), elements=st.integers(0, 4).map(float)),
+    arrays(float, st.integers(1, 80), elements=st.floats(-1.0, 1.0)),
+)
+
+
+# a prominence below the float spacing at the peak gives a zero width, which scipy warns about
+@pytest.mark.filterwarnings("ignore:some peaks have a width of 0")
+@settings(max_examples=500, deadline=None)
+@given(dip_arrays, st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.0]))
+def test_dip_finder_matches_scipy(x, min_prominence):
+    peaks, props = find_peaks(x, prominence=min_prominence)
+    got = _find_dips(x, min_prominence)
+    np.testing.assert_array_equal(got[0], peaks)
+    np.testing.assert_array_equal(got[1], props["prominences"])
+    np.testing.assert_array_equal(got[2], props["left_bases"])
+    np.testing.assert_array_equal(got[3], props["right_bases"])
+    np.testing.assert_array_equal(_half_widths(x, *got), peak_widths(x, peaks, rel_height=0.5)[0])
 
 
 class TestJacobian:
