@@ -8,7 +8,6 @@ path can be set via the RESOTRIM_REGISTRY environment variable.
 
 import csv
 import functools
-import hashlib
 import json
 import sys
 
@@ -97,6 +96,12 @@ def _pair_records(reg, link):
     return reg.resonators[link.readout], reg.resonators[link.purcell]
 
 
+def _emit_plan(plan, provenance, out_path):
+    click.echo(json.dumps(registry.plan_to_doc(plan, provenance), indent=2, sort_keys=True))
+    if out_path:
+        registry.save_plan(plan, out_path, provenance)
+
+
 def _slope(nu_rho, naive_slope):
     if naive_slope:
         return None, planner.linear_shift_fn(), "naive"
@@ -126,10 +131,7 @@ def plan_pair_cmd(registry_path, pair_id, all_pairs, nu_rho, naive_slope, out_pa
     pairs = [_pair_records(reg, link) for link in links]
     plan = planner.plan_match_all(pairs, nu, shift_fn, cycle_index=reg.next_cycle_index())
     provenance = {"slope_mode": mode, "nu_rho_m_per_s": nu, "pairs": [l.id for l in links]}
-    doc = registry.plan_to_doc(plan, provenance)
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
-    if out_path:
-        registry.save_plan(plan, out_path, provenance)
+    _emit_plan(plan, provenance, out_path)
 
 
 @plan_group.command("crowding")
@@ -150,28 +152,14 @@ def plan_crowding_cmd(registry_path, feedline, guard_band, nu_rho, naive_slope, 
     entries = []
     for link in links:
         r, p = _pair_records(reg, link)
-        entries.append(
-            planner.PairEntry(
-                pair_id=link.id,
-                params=link.pair_params(r.f_meas, p.f_meas),
-                readout=r, purcell=p,
-            )
-        )
+        entries.append(planner.PairEntry(link.id, link.pair_params(r.f_meas, p.f_meas), r, p))
     plan = planner.plan_crowding(
         entries, guard_band=guard_band, nu_rho=nu, shift_fn=shift_fn,
         cycle_index=reg.next_cycle_index(),
     )
     provenance = {"slope_mode": mode, "nu_rho_m_per_s": nu, "feedline": feedline,
                   "guard_band_hz": guard_band}
-    click.echo(json.dumps(registry.plan_to_doc(plan, provenance), indent=2, sort_keys=True))
-    if out_path:
-        registry.save_plan(plan, out_path, provenance)
-
-
-def _plan_sha256(plan, provenance):
-    """Hash of the plan's canonical JSON; ``apply`` refuses a hash already in the history."""
-    text = json.dumps(registry.plan_to_doc(plan, provenance), sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    _emit_plan(plan, provenance, out_path)
 
 
 @main.command("apply")
@@ -184,48 +172,19 @@ def apply_cmd(registry_path, plan_path, nu_true):
     """Apply a trim plan to the registry (optionally simulating outcomes)."""
     reg = registry.load_registry(registry_path)
     plan, provenance = registry.load_plan(plan_path)
-    plan_sha256 = _plan_sha256(plan, provenance)
-    for h in reg.history:
-        if h.get("event") == "apply" and h.get("plan_sha256") == plan_sha256:
-            raise ValidationError(
-                f"plan already applied in cycle {h.get('cycle_index')}; "
-                "re-plan on the updated registry to trim again"
-            )
-    removals = {}
-    for action in plan.actions:
-        removals[action.resonator_id] = removals.get(action.resonator_id, 0) + action.n_remove
-    for rid, n_remove in removals.items():
-        rec = reg.resonators.get(rid)
-        if rec is None:
-            raise ValidationError(f"plan references unknown resonator {rid!r}")
-        if n_remove > rec.shoelaces.remaining:
-            raise ValidationError(
-                f"{rec.id}: plan removes {n_remove}, only "
-                f"{rec.shoelaces.remaining} shoelaces remain"
-            )
-    cycle = plan.cycle_index or reg.next_cycle_index()
-    applied = []
-    for action in plan.actions:
-        rec = reg.resonators[action.resonator_id]
-        f_before = rec.f_meas
-        if nu_true is not None:
-            f_after = f_before + planner.freq_shift(f_before, nu_true, action.delta_l)
-        else:
-            f_after = action.predicted_f
-        rec.f_meas = f_after
-        rec.shoelaces.remaining -= action.n_remove
-        applied.append(
-            {"resonator": rec.id, "n_remove": action.n_remove,
-             "delta_l_m": action.delta_l, "f_before_hz": f_before,
-             "f_after_hz": f_after, "predicted_f_hz": action.predicted_f}
-        )
+    plan_sha256 = registry.plan_sha256(plan, provenance)
+    cycle = reg.apply_cycle(plan, plan_sha256)
+    realized = None if nu_true is None else planner.simulate_outcomes(
+        reg.resonators.values(), plan, nu_true)
+    reg.resonators, trims = planner.apply_plan(reg.resonators.values(), plan, realized)
     reg.history.append(
         {"event": "apply", "cycle_index": cycle, "plan": plan_path,
          "plan_sha256": plan_sha256, "simulated": nu_true is not None,
-         "nu_rho_true_m_per_s": nu_true, "provenance": provenance, "actions": applied}
+         "nu_rho_true_m_per_s": nu_true, "provenance": provenance,
+         "actions": [registry.trim_to_doc(t) for t in trims]}
     )
     registry.save_registry(reg, registry_path)
-    click.echo(json.dumps({"applied": len(applied), "cycle_index": cycle}, sort_keys=True))
+    click.echo(json.dumps({"applied": len(trims), "cycle_index": cycle}, sort_keys=True))
 
 
 @main.command("fit-nu-rho")
@@ -233,15 +192,9 @@ def apply_cmd(registry_path, plan_path, nu_true):
 @click.option("--cycle", "cycle_index", required=True, type=int)
 @reports_errors
 def fit_nu_rho_cmd(registry_path, cycle_index):
-    """Fit the phase velocity from realized shifts of one trim cycle."""
+    """Fit the phase velocity from the re-measured shifts of one trim cycle."""
     reg = registry.load_registry(registry_path)
-    samples = []
-    for h in reg.history:
-        if h.get("event") == "apply" and h.get("cycle_index") == cycle_index:
-            for a in h["actions"]:
-                samples.append(
-                    (a["f_before_hz"], a["delta_l_m"], a["f_after_hz"] - a["f_before_hz"])
-                )
+    samples = planner.velocity_samples(*reg.cycle_outcome(cycle_index))
     nu_rho, resid = planner.fit_nu_rho(samples)
     record = {"event": "fit-nu-rho", "cycle_index": cycle_index,
               "nu_rho_m_per_s": nu_rho, "residual_rms_hz": resid,

@@ -11,7 +11,7 @@ is downward-only and ties round toward fewer removals.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     OutOfRangeError,
     UnderdeterminedError,
     UnmatchableError,
+    ValidationError,
 )
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "ResonatorRecord",
     "TrimAction",
     "TrimPlan",
+    "AppliedTrim",
     "PairEntry",
     "TwoCycleResult",
     "NAIVE_SLOPE",
@@ -41,6 +43,8 @@ __all__ = [
     "plan_match_all",
     "plan_crowding",
     "fit_nu_rho",
+    "apply_plan",
+    "velocity_samples",
     "simulate_outcomes",
     "two_cycle_protocol",
 ]
@@ -99,9 +103,17 @@ class TrimPlan:
     feasible: bool = True
     notes: list = field(default_factory=list)
 
-    @property
-    def total_removed(self):
-        return sum(a.n_remove for a in self.actions)
+
+@dataclass(frozen=True)
+class AppliedTrim:
+    """What a plan did to one resonator: its actions added up."""
+
+    resonator_id: str
+    n_remove: int
+    delta_l: float
+    f_before: float
+    f_after: float
+    predicted_f: float
 
 
 @dataclass
@@ -361,20 +373,64 @@ def fit_nu_rho(samples):
     return 1.0 / inv_nu, float(np.sqrt(np.mean(resid**2)))
 
 
+def _plan_totals(plan):
+    """{resonator_id: (n_remove, delta_l, predicted_delta_f)} summed over the actions."""
+    totals = {}
+    for a in plan.actions:
+        n, dl, df = totals.get(a.resonator_id, (0, 0.0, 0.0))
+        totals[a.resonator_id] = (n + a.n_remove, dl + a.delta_l, df + a.predicted_delta_f)
+    return totals
+
+
+def apply_plan(records, plan, realized=None):
+    """({id: record} after a plan, one :class:`AppliedTrim` per planned resonator).
+
+    ``realized`` maps resonator id -> frequency measured or simulated after
+    the trims; records it leaves out take the plan's prediction. Raises
+    ValidationError for an unknown resonator or a budget overrun. The
+    arguments are not modified.
+    """
+    old = {rec.id: rec for rec in records}
+    totals = _plan_totals(plan)
+    for rid, (n, _, _) in totals.items():
+        if rid not in old:
+            raise ValidationError(f"plan references unknown resonator {rid!r}")
+        if n > old[rid].shoelaces.remaining:
+            raise ValidationError(
+                f"{rid}: plan removes {n}, only {old[rid].shoelaces.remaining} shoelaces remain")
+    new, trims = {}, []
+    for rid, rec in old.items():
+        n, delta_l, delta_f = totals.get(rid, (0, 0.0, 0.0))
+        predicted = rec.f_meas + delta_f
+        f_after = (realized or {}).get(rid, predicted)
+        new[rid] = replace(rec, f_meas=f_after, shoelaces=replace(
+            rec.shoelaces, remaining=rec.shoelaces.remaining - n))
+        if rid in totals:
+            trims.append(AppliedTrim(rid, n, delta_l, rec.f_meas, f_after, predicted))
+    return new, trims
+
+
+def velocity_samples(trims, measured):
+    """fit_nu_rho samples (f0, delta_l, delta_f) of the trims that added length.
+
+    ``measured`` maps resonator id -> frequency measured after the trim; a
+    trimmed resonator it leaves out raises UnderdeterminedError.
+    """
+    trimmed = [t for t in trims if t.delta_l > 0]
+    missing = [t.resonator_id for t in trimmed if t.resonator_id not in measured]
+    if missing:
+        raise UnderdeterminedError(f"not measured after the trim: {', '.join(missing)}")
+    return [(t.f_before, t.delta_l, measured[t.resonator_id] - t.f_before) for t in trimmed]
+
+
 def simulate_outcomes(records, plan, nu_rho_true):
     """Realized frequencies after applying a plan with the true velocity.
 
     Returns {resonator_id: f_after} for every record, trimmed or not.
     """
-    by_id = {a.resonator_id: a for a in plan.actions}
-    out = {}
-    for rec in records:
-        a = by_id.get(rec.id)
-        if a is None or a.n_remove == 0:
-            out[rec.id] = rec.f_meas
-        else:
-            out[rec.id] = rec.f_meas + freq_shift(rec.f_meas, nu_rho_true, a.delta_l)
-    return out
+    lengths = {rid: dl for rid, (n, dl, _) in _plan_totals(plan).items() if n}
+    return {rec.id: rec.f_meas + freq_shift(rec.f_meas, nu_rho_true, lengths[rec.id])
+            if rec.id in lengths else rec.f_meas for rec in records}
 
 
 @dataclass
@@ -383,6 +439,7 @@ class TwoCycleResult:
     nu_rho: float
     nu_rho_residual_rms: float
     plan_cycle2: TrimPlan
+    pairs_cycle1: list  # (readout, purcell) records after cycle 1
 
 
 def plan_match_all(pairs, nu_rho, shift_fn, cycle_index):
@@ -392,12 +449,9 @@ def plan_match_all(pairs, nu_rho, shift_fn, cycle_index):
         if a.n_remove > 0:
             actions.append(a)
     gaps_before = [abs(p.f_meas - r.f_meas) for r, p in pairs]
-    gaps_after = []
-    by_id = {a.resonator_id: a for a in actions}
-    for r, p in pairs:
-        fr = by_id[r.id].predicted_f if r.id in by_id else r.f_meas
-        fp = by_id[p.id].predicted_f if p.id in by_id else p.f_meas
-        gaps_after.append(abs(fp - fr))
+    predicted = {a.resonator_id: a.predicted_f for a in actions}
+    gaps_after = [abs(predicted.get(p.id, p.f_meas) - predicted.get(r.id, r.f_meas))
+                  for r, p in pairs]
     return TrimPlan(
         actions=actions,
         objective_before=float(np.mean(gaps_before)) if gaps_before else 0.0,
@@ -414,24 +468,15 @@ def two_cycle_protocol(pairs, measurements_cycle0, measurements_cycle1, naive_sl
     before cycle 1 and after cycle 1 respectively. Cycle-1 shifts are
     planned with delta_f = naive_slope * delta_l; the realized cycle-1
     shifts then fix nu_rho, and cycle 2 re-plans with the quadratic
-    model. Returns plans for both cycles plus the fitted velocity.
+    model. Returns plans for both cycles, the fitted velocity and the
+    records after cycle 1; the arguments are not modified.
     """
-    records = [rec for pair in pairs for rec in pair]
-    for rec in records:
-        rec.f_meas = measurements_cycle0[rec.id]
-    plan1 = plan_match_all(pairs, None, linear_shift_fn(naive_slope), cycle_index=1)
-
-    samples = []
-    for a in plan1.actions:
-        f0 = measurements_cycle0[a.resonator_id]
-        df = measurements_cycle1[a.resonator_id] - f0
-        samples.append((f0, a.delta_l, df))
-    nu_rho, resid = fit_nu_rho(samples)
-
-    by_id = {a.resonator_id: a for a in plan1.actions}
-    for rec in records:
-        rec.f_meas = measurements_cycle1[rec.id]
-        if rec.id in by_id:
-            rec.shoelaces.remaining -= by_id[rec.id].n_remove
-    plan2 = plan_match_all(pairs, nu_rho, None, cycle_index=2)
-    return TwoCycleResult(plan1, nu_rho, resid, plan2)
+    pairs0 = [tuple(replace(rec, f_meas=measurements_cycle0[rec.id]) for rec in pair)
+              for pair in pairs]
+    plan1 = plan_match_all(pairs0, None, linear_shift_fn(naive_slope), cycle_index=1)
+    records1, trims = apply_plan([rec for pair in pairs0 for rec in pair], plan1,
+                                 measurements_cycle1)
+    nu_rho, resid = fit_nu_rho(velocity_samples(trims, measurements_cycle1))
+    pairs1 = [(records1[r.id], records1[p.id]) for r, p in pairs]
+    plan2 = plan_match_all(pairs1, nu_rho, None, cycle_index=2)
+    return TwoCycleResult(plan1, nu_rho, resid, plan2, pairs1)

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import CutoffError, DirectionError, DomainError, InversionError
 
 __all__ = [
-    "TransmonRecord",
     "AnnealConfig",
     "AnnealTrace",
     "LogAnnealResponse",
@@ -28,24 +27,6 @@ __all__ = [
 
 DEFAULT_CUTOFF = 30
 TRANSMON_RATIO_FLOOR = 20.0
-
-
-@dataclass
-class TransmonRecord:
-    id: str
-    f_q: float  # Hz, sweetspot
-    alpha: float  # Hz, negative
-    e_j: float  # Hz units, E_J / h
-    e_c: float  # Hz units, E_c / h
-    r_j: float  # Ohm, junction-pair normal-state resistance
-
-    def __post_init__(self, ratio_floor=TRANSMON_RATIO_FLOOR):
-        if self.f_q <= 0 or self.alpha >= 0:
-            raise DomainError("need f_q > 0 and alpha < 0")
-        if self.e_j <= 0 or self.e_c <= 0 or self.r_j <= 0:
-            raise DomainError("e_j, e_c and r_j must be positive")
-        if self.e_j / self.e_c < ratio_floor:
-            raise DomainError(f"e_j/e_c below transmon floor {ratio_floor}")
 
 
 def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF, population_tol=1e-10):

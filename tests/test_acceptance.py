@@ -184,7 +184,8 @@ def test_criterion_05_two_cycle_protocol():
         realized = realized1[a.resonator_id] - cycle0[a.resonator_id]
         overshoots.append(abs(realized) > abs(a.predicted_delta_f))
     result = two_cycle_protocol(pairs, cycle0, realized1)
-    realized2 = simulate_outcomes(records, result.plan_cycle2, NU_RHO)
+    records1 = [rec for pair in result.pairs_cycle1 for rec in pair]
+    realized2 = simulate_outcomes(records1, result.plan_cycle2, NU_RHO)
     gaps = [abs(realized2[p.id] - realized2[r.id]) for r, p in pairs]
     elapsed = time.time() - t0
 

@@ -13,7 +13,7 @@ import resotrim
 from resotrim.cli import main
 from resotrim.fitting import TransmissionTrace
 from resotrim.pairmodel import PairParams, s21_ideal
-from resotrim.planner import ResonatorRecord, ShoelaceArray
+from resotrim.planner import ResonatorRecord, ShoelaceArray, freq_shift, two_cycle_protocol
 from resotrim.registry import (
     DeviceRegistry,
     PairLink,
@@ -199,6 +199,24 @@ class TestPlanAndApply:
         assert [h["cycle_index"] for h in applies] == [1, 2]
         assert applies[0]["plan_sha256"] != applies[1]["plan_sha256"]
 
+    def test_apply_refuses_a_stale_plan(self, runner, tmp_path):
+        # two plans made from the same registry state: only the first may land
+        reg_path = tmp_path / "reg.json"
+        small_registry(reg_path, [(7.5e9, 7.521e9)])
+        for name, slope in (("a.json", ["--naive-slope"]), ("b.json", ["--nu-rho", "1.0e8"])):
+            result = runner.invoke(main, ["plan", "pair", "--registry", str(reg_path),
+                                          "--all-pairs", *slope, "--out", str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["apply", "--registry", str(reg_path),
+                                      "--plan", str(tmp_path / "a.json")])
+        assert result.exit_code == 0, result.output
+        before = reg_path.read_bytes()
+        result = runner.invoke(main, ["apply", "--registry", str(reg_path),
+                                      "--plan", str(tmp_path / "b.json")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("validation: plan made for cycle 1, but cycle 1 is")
+        assert reg_path.read_bytes() == before
+
     def test_history_without_plan_hash_still_loads(self, runner, tmp_path):
         reg_path = tmp_path / "reg.json"
         reg = small_registry(reg_path, [(7.5e9, 7.521e9)])
@@ -247,6 +265,74 @@ class TestPlanAndApply:
         doc = json.loads(result.output)
         assert doc["nu_rho_m_per_s"] == pytest.approx(NU_RHO, rel=1e-9)
 
+    def _fit(self, runner, reg_path, trace_path, f_r, f_p):
+        truth = PairParams(f_r=f_r, f_p=f_p, j=10e6, kappa=20e6)
+        center = 0.5 * (f_r + f_p)
+        f = np.linspace(center - 100e6, center + 100e6, 1201)
+        save_trace(TransmissionTrace(freqs=f, values=s21_ideal(f, truth)), trace_path)
+        result = runner.invoke(main, ["fit", "--trace", str(trace_path), "--no-baseline",
+                                      "--registry", str(reg_path), "--pair", "pair0"])
+        assert result.exit_code == 0, result.output
+        return json.loads(result.output)
+
+    def test_fit_nu_rho_reads_the_refit_frequency(self, runner, tmp_path):
+        # a lab cycle: apply without simulation, re-measure, fit the velocity
+        reg_path = tmp_path / "reg.json"
+        reg = small_registry(reg_path, [(7.80e9, 7.84e9)])
+        plan_path = tmp_path / "plan1.json"
+        result = runner.invoke(main, ["plan", "pair", "--registry", str(reg_path),
+                                      "--all-pairs", "--naive-slope", "--out", str(plan_path)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["apply", "--registry", str(reg_path),
+                                      "--plan", str(plan_path)])
+        assert result.exit_code == 0, result.output
+        (action,) = json.loads(plan_path.read_text())["actions"]
+        assert action["resonator_id"] == "p0"
+        f_p = 7.84e9 + freq_shift(7.84e9, NU_RHO, action["delta_l"])
+        fit = self._fit(runner, reg_path, tmp_path / "cycle1.csv", 7.80e9, f_p)
+        cycle = ["fit-nu-rho", "--registry", str(reg_path), "--cycle", "1"]
+        result = runner.invoke(main, cycle)
+        assert result.exit_code == 0, result.output
+        nu = json.loads(result.output)["nu_rho_m_per_s"]
+        assert nu == pytest.approx(NU_RHO, rel=1e-6)
+        pairs = [(reg.resonators["r0"], reg.resonators["p0"])]
+        library = two_cycle_protocol(pairs, {"r0": 7.80e9, "p0": 7.84e9},
+                                     {"r0": fit["f_r_hz"], "p0": fit["f_p_hz"]})
+        assert nu == library.nu_rho
+        # a fit after the next cycle's apply does not count for cycle 1
+        result = runner.invoke(main, ["apply", "--registry", str(reg_path), "--plan",
+                                      str(self._empty_plan(tmp_path, cycle_index=2))])
+        assert result.exit_code == 0, result.output
+        self._fit(runner, reg_path, tmp_path / "cycle2.csv", 7.80e9, f_p - 3e6)
+        result = runner.invoke(main, cycle)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["nu_rho_m_per_s"] == nu
+
+    @staticmethod
+    def _empty_plan(tmp_path, cycle_index):
+        path = tmp_path / f"empty{cycle_index}.json"
+        path.write_text(json.dumps({
+            "version": 1, "cycle_index": cycle_index, "feasible": True,
+            "objective_before_hz": 0.0, "objective_after_hz": 0.0, "notes": [],
+            "provenance": {}, "actions": []}))
+        return path
+
+    def test_fit_nu_rho_without_a_refit_is_underdetermined(self, runner, tmp_path):
+        reg_path = tmp_path / "reg.json"
+        small_registry(reg_path, [(7.80e9, 7.84e9)])
+        plan_path = tmp_path / "plan1.json"
+        runner.invoke(main, ["plan", "pair", "--registry", str(reg_path), "--all-pairs",
+                             "--naive-slope", "--out", str(plan_path)])
+        result = runner.invoke(main, ["apply", "--registry", str(reg_path),
+                                      "--plan", str(plan_path)])
+        assert result.exit_code == 0, result.output
+        before = reg_path.read_bytes()
+        result = runner.invoke(main, ["fit-nu-rho", "--registry", str(reg_path), "--cycle", "1"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("underdetermined: ")
+        assert "p0" in result.stderr
+        assert reg_path.read_bytes() == before
+
 
 class TestReport:
     def test_matched_fixture_all_ok(self, runner, tmp_path):
@@ -283,6 +369,24 @@ MALFORMED_REGISTRIES = {
     "j-not-a-number": lambda doc: {**doc, "pairs": [{**doc["pairs"][0], "j_hz": "ten"}]},
     "history-object": lambda doc: {**doc, "history": {"event": "apply"}},
     "readout-id-list": lambda doc: {**doc, "pairs": [{**doc["pairs"][0], "readout": ["r0"]}]},
+    "transmon-f-q-string": lambda doc: {**doc, "transmons": [{"id": "q0", "f_q_hz": "six"}]},
+    "transmon-alpha-positive": lambda doc: {**doc, "transmons": [{"id": "q0", "alpha_hz": 3e8}]},
+    "transmon-e-j-list": lambda doc: {**doc, "transmons": [{"id": "q0", "e_j_hz": [1]}]},
+    "transmon-r-j-negative": lambda doc: {**doc, "transmons": [{"id": "q0", "r_j_ohm": -5}]},
+    "transmon-below-ratio-floor": lambda doc: {
+        **doc, "transmons": [{"id": "q0", "e_j_hz": 1e9, "e_c_hz": 3e8}]},
+    "apply-cycle-index-string": lambda doc: {
+        **doc, "history": [{"event": "apply", "cycle_index": "1", "actions": []}]},
+    "apply-cycle-index-zero": lambda doc: {
+        **doc, "history": [{"event": "apply", "cycle_index": 0, "actions": []}]},
+    "apply-actions-object": lambda doc: {
+        **doc, "history": [{"event": "apply", "cycle_index": 1, "actions": {}}]},
+    "apply-action-f-after-missing": lambda doc: {**doc, "history": [{
+        "event": "apply", "cycle_index": 1, "actions": [{
+            "resonator": "p0", "n_remove": 1, "delta_l_m": 5e-6, "f_before_hz": 7.502e9,
+            "predicted_f_hz": 7.5e9}]}]},
+    "fit-f-p-string": lambda doc: {**doc, "history": [{
+        "event": "fit", "pair": "pair0", "f_r_hz": 7.5e9, "f_p_hz": "7.5 GHz"}]},
 }
 
 
@@ -295,6 +399,22 @@ def test_malformed_registry_is_a_validation_error(runner, tmp_path, corrupt):
     assert result.exit_code == 2, result.output
     assert result.stderr.splitlines()[0].startswith("validation: ")
     assert "Traceback" not in result.output
+
+
+def test_bad_transmon_fields_are_reported_by_path(runner, tmp_path):
+    reg_path = tmp_path / "reg.json"
+    small_registry(reg_path, [(7.5e9, 7.502e9)])
+    doc = json.loads(reg_path.read_text())
+    doc["transmons"] = [{"id": "q0", "f_q_hz": "six", "alpha_hz": 3e8, "e_j_hz": [1],
+                         "e_c_hz": 2.5e8, "r_j_ohm": -5}]
+    reg_path.write_text(json.dumps(doc))
+    before = reg_path.read_bytes()
+    result = runner.invoke(main, ["report", "--registry", str(reg_path)])
+    assert result.exit_code == 2
+    paths = [line.strip().split(":")[0] for line in result.stderr.splitlines()[1:]]
+    assert sorted(paths) == ["transmons[0].alpha_hz", "transmons[0].e_j_hz",
+                             "transmons[0].f_q_hz", "transmons[0].r_j_ohm"]
+    assert reg_path.read_bytes() == before
 
 
 VALID_ACTION = {"resonator_id": "p0", "n_remove": 3, "delta_l": 3 * 5e-6,
@@ -310,6 +430,8 @@ MALFORMED_PLANS = {
     "n-remove-negative": {"actions": [{**VALID_ACTION, "n_remove": -1}]},
     "predicted-f-nan": {"actions": [{**VALID_ACTION, "predicted_f": float("nan")}]},
     "predicted-shift-up": {"actions": [{**VALID_ACTION, "predicted_delta_f": 3e6}]},
+    "cycle-index-negative": {"cycle_index": -1, "actions": [VALID_ACTION]},
+    "cycle-index-string": {"cycle_index": "2", "actions": [VALID_ACTION]},
 }
 
 

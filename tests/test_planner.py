@@ -1,13 +1,17 @@
 """Trim-planner tests: shift arithmetic, matching, crowding, two-cycle loop."""
 
+import copy
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resotrim.errors import (
     DomainError,
     OutOfRangeError,
+    ResotrimError,
     UnderdeterminedError,
     UnmatchableError,
 )
@@ -18,15 +22,20 @@ from resotrim.planner import (
     PairEntry,
     ResonatorRecord,
     ShoelaceArray,
+    TrimAction,
+    TrimPlan,
+    apply_plan,
     eq2_shift_fn,
     fit_nu_rho,
     freq_shift,
     linear_shift_fn,
     plan_crowding,
+    plan_match_all,
     plan_pair_match,
     shift_to_count,
     simulate_outcomes,
     two_cycle_protocol,
+    velocity_samples,
 )
 
 NU_RHO = 1.076e8  # m/s, fitted phase velocity
@@ -267,15 +276,13 @@ def run_two_cycles(pairs, nu_true):
     """Drive two_cycle_protocol with measurements simulated at nu_true."""
     cycle0 = {rec.id: rec.f_meas for pair in pairs for rec in pair}
 
-    from resotrim.planner import plan_match_all
-
     plan1 = plan_match_all(pairs, None, linear_shift_fn(), cycle_index=1)
     realized1 = simulate_outcomes(
         [rec for pair in pairs for rec in pair], plan1, nu_true
     )
     result = two_cycle_protocol(pairs, cycle0, realized1)
     realized2 = simulate_outcomes(
-        [rec for pair in pairs for rec in pair], result.plan_cycle2, nu_true
+        [rec for pair in result.pairs_cycle1 for rec in pair], result.plan_cycle2, nu_true
     )
     return result, realized2
 
@@ -304,3 +311,68 @@ class TestTwoCycleProtocol:
         gaps = [abs(realized2[p.id] - realized2[r.id]) for r, p in pairs]
         assert np.mean(gaps) <= 5e6
         assert max(gaps) <= 10e6
+
+    def test_leaves_its_inputs_unchanged(self):
+        pairs = synthetic_device(6, seed=3)
+        records = [rec for pair in pairs for rec in pair]
+        cycle0 = {rec.id: rec.f_meas - 1e6 for rec in records}
+        realized1 = simulate_outcomes(records, plan_match_all(
+            pairs, None, linear_shift_fn(), cycle_index=1), NU_RHO)
+        before = copy.deepcopy((pairs, cycle0, realized1))
+        result = two_cycle_protocol(pairs, cycle0, realized1)
+        assert (pairs, cycle0, realized1) == before
+        trimmed = {a.resonator_id: a.n_remove for a in result.plan_cycle1.actions}
+        for rec, new in zip(records, [rec for pair in result.pairs_cycle1 for rec in pair]):
+            assert new.f_meas == realized1[rec.id]
+            assert new.shoelaces.remaining == rec.shoelaces.remaining - trimmed.get(rec.id, 0)
+
+
+class TestApplyPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        budgets=st.lists(st.integers(0, 10), min_size=1, max_size=4),
+        planned=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 12)), max_size=6),
+        realize=st.booleans(),
+    )
+    def test_never_mutates_and_keeps_budgets(self, budgets, planned, realize):
+        # resonator index len(budgets) and above names no record
+        records = [record(f"r{k}", "readout", 7.5e9 + 1e7 * k, remaining=b)
+                   for k, b in enumerate(budgets)]
+        actions = [TrimAction(f"r{k}", n, n * DEFAULT_PITCH, -1e6 * n, 7.5e9 - 1e6 * n)
+                   for k, n in planned]
+        plan = TrimPlan(actions=actions, objective_before=0.0, objective_after=0.0)
+        realized = {rec.id: rec.f_meas - 3e6 for rec in records} if realize else None
+        before = copy.deepcopy((records, plan, realized))
+        removals = {}
+        for a in actions:
+            removals[a.resonator_id] = removals.get(a.resonator_id, 0) + a.n_remove
+        budget = {rec.id: rec.shoelaces.remaining for rec in records}
+        valid = all(rid in budget and n <= budget[rid] for rid, n in removals.items())
+        try:
+            new, trims = apply_plan(records, plan, realized)
+        except ResotrimError:
+            assert not valid
+            assert (records, plan, realized) == before
+            return
+        assert valid
+        assert (records, plan, realized) == before
+        for rec in records:
+            left = new[rec.id].shoelaces.remaining
+            assert left == rec.shoelaces.remaining - removals.get(rec.id, 0) >= 0
+        assert [t.resonator_id for t in trims] == [r.id for r in records if r.id in removals]
+
+    def test_trims_carry_the_measured_frequency(self):
+        r = record("r0", "readout", 7.5e9)
+        p = record("p0", "purcell", 7.52e9)
+        plan = plan_match_all([(r, p)], NU_RHO, None, cycle_index=1)
+        (action,) = plan.actions
+        new, (trim,) = apply_plan([r, p], plan, {"p0": 7.501e9})
+        assert (trim.f_before, trim.delta_l, trim.f_after) == (7.52e9, action.delta_l, 7.501e9)
+        assert trim.predicted_f == action.predicted_f
+        assert new["p0"].f_meas == 7.501e9 and new["r0"].f_meas == 7.5e9
+        _, (predicted,) = apply_plan([r, p], plan)
+        assert predicted.f_after == action.predicted_f
+        assert velocity_samples([trim], {"p0": 7.501e9}) == [
+            (7.52e9, action.delta_l, 7.501e9 - 7.52e9)]
+        with pytest.raises(UnderdeterminedError, match="p0"):
+            velocity_samples([trim], {"r0": 7.5e9})

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from resotrim.errors import CutoffError, DirectionError, DomainError, InversionError
+from resotrim.registry import TransmonEntry
 from resotrim.transmon import (
     AnnealConfig,
     LogAnnealResponse,
-    TransmonRecord,
     anneal_closed_loop,
     asymptotic_fq,
     invert_spectroscopy,
@@ -141,10 +141,10 @@ class TestRjTarget:
 class TestTransmonRecord:
     def test_rejects_low_ratio(self):
         with pytest.raises(DomainError):
-            TransmonRecord(id="q0", f_q=6e9, alpha=-0.3e9, e_j=1e9, e_c=0.3e9, r_j=6e3)
+            TransmonEntry(id="q0", f_q=6e9, alpha=-0.3e9, e_j=1e9, e_c=0.3e9, r_j=6e3)
 
     def test_valid_record(self):
-        rec = TransmonRecord(id="q0", f_q=6e9, alpha=-0.3e9, e_j=16e9, e_c=0.3e9, r_j=6e3)
+        rec = TransmonEntry(id="q0", f_q=6e9, alpha=-0.3e9, e_j=16e9, e_c=0.3e9, r_j=6e3)
         assert rec.e_j / rec.e_c > 20
 
 
