@@ -69,14 +69,16 @@ def fit_cmd(trace_path, model, registry_path, pair_id, no_baseline):
         reg = registry.load_registry(registry_path)
         if pair_id not in reg.pairs:
             raise ValidationError(f"unknown pair {pair_id!r}")
-        link = reg.pairs[pair_id]
-        link.j = result.params.j
-        link.kappa = result.params.kappa
-        link.gamma_r = result.params.gamma_r
-        link.gamma_p = result.params.gamma_p
-        link.kappa_drive = result.params.kappa_drive
-        reg.resonators[link.readout].f_meas = result.params.f_r
-        reg.resonators[link.purcell].f_meas = result.params.f_p
+        # a fit that did not converge is only recorded, never used
+        if result.converged:
+            link = reg.pairs[pair_id]
+            link.j = result.params.j
+            link.kappa = result.params.kappa
+            link.gamma_r = result.params.gamma_r
+            link.gamma_p = result.params.gamma_p
+            link.kappa_drive = result.params.kappa_drive
+            reg.resonators[link.readout].f_meas = result.params.f_r
+            reg.resonators[link.purcell].f_meas = result.params.f_p
         reg.history.append(
             {"event": "fit", "pair": pair_id, "trace": trace_path,
              "model": model, "converged": result.converged,

@@ -227,31 +227,31 @@ def initial_guess(trace, min_depth=0.05):
 
 
 _IDEAL_NAMES = ("f_r", "f_p", "j", "kappa")
-_FULL_NAMES = _IDEAL_NAMES + ("gamma_r", "gamma_p", "kappa_drive")
+# gamma_r and kappa_drive enter S21 only through their sum, so the full
+# model fits that sum as gamma_r and leaves kappa_drive at zero
+_FULL_NAMES = _IDEAL_NAMES + ("gamma_r", "gamma_p")
 
 
 def _model_and_jacobian(theta, f, names):
     """Full-model S21 and its complex Jacobian wrt the packed parameters.
 
-    theta packs (f_r, f_p, log j, log kappa[, log gamma_r, log gamma_p,
-    log kappa_drive]); absent loss rates are zero.
+    theta packs (f_r, f_p, log j, log kappa[, log gamma_r, log gamma_p]);
+    absent loss rates are zero.
     """
     j, kappa = math.exp(theta[2]), math.exp(theta[3])
     lossy = len(names) > 4
-    gamma_r, gamma_p, kappa_d = map(math.exp, theta[4:7]) if lossy else (0.0, 0.0, 0.0)
-    s, d = _s21(f, theta[0], theta[1], j, kappa, gamma_r + kappa_d, gamma_p,
-                n_jac=6 if lossy else 4)
+    gamma_r, gamma_p = map(math.exp, theta[4:6]) if lossy else (0.0, 0.0)
+    s, d = _s21(f, theta[0], theta[1], j, kappa, gamma_r, gamma_p, n_jac=6 if lossy else 4)
     cols = [d[0], d[1], j * d[2], kappa * d[3]]
     if lossy:
-        # gamma_r and kappa_drive enter only through their sum
-        cols += [gamma_r * d[4], gamma_p * d[5], kappa_d * d[4]]
+        cols += [gamma_r * d[4], gamma_p * d[5]]
     return s, np.stack(cols, axis=1)
 
 
 def _pack(guess, names, kappa_floor):
     theta = [guess.f_r, guess.f_p, math.log(guess.j), math.log(guess.kappa)]
     if len(names) > 4:
-        for rate in (guess.gamma_r, guess.gamma_p, guess.kappa_drive):
+        for rate in (guess.gamma_r + guess.kappa_drive, guess.gamma_p):
             theta.append(math.log(max(rate, kappa_floor)))
     return np.array(theta, dtype=float)
 
@@ -261,7 +261,6 @@ def _unpack(theta, names):
     if len(names) > 4:
         kwargs["gamma_r"] = math.exp(theta[4])
         kwargs["gamma_p"] = math.exp(theta[5])
-        kwargs["kappa_drive"] = math.exp(theta[6])
     return PairParams(**kwargs)
 
 
@@ -335,7 +334,7 @@ def fit_pair(trace, guess, model="ideal", max_iter=500, cost_rtol=1e-10, grad_to
         params = _unpack(theta, names)
         scale = [1.0, 1.0, params.j, params.kappa]
         if n > 4:
-            scale += [params.gamma_r, params.gamma_p, params.kappa_drive]
+            scale += [params.gamma_r, params.gamma_p]
         confidence = {name: float(h * s) for name, h, s in zip(names, hw, scale)}
     except np.linalg.LinAlgError:
         pass

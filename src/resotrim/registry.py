@@ -3,8 +3,10 @@
 The registry is a version-tagged JSON document (canonical form: sorted
 keys, two-space indent, trailing newline) holding resonator and transmon
 records, pair wiring, feedline grouping and an append-only cycle history.
-Unknown fields are preserved through load/save round trips. Writes go to
-a temp file followed by an atomic rename.
+Registry and plan documents are read through one set of field tables, at
+load and again before every save, and each bad field is reported by its
+path. Unknown fields are preserved through load/save round trips. Writes
+go to a temp file followed by an atomic rename.
 """
 
 import csv
@@ -12,8 +14,9 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -24,30 +27,108 @@ from .planner import AppliedTrim, ResonatorRecord, ShoelaceArray, TrimAction, Tr
 from .transmon import TRANSMON_RATIO_FLOOR
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "PLAN_VERSION",
-    "PairLink",
-    "TransmonEntry",
-    "DeviceRegistry",
-    "load_registry",
-    "save_registry",
-    "load_trace",
-    "save_trace",
-    "save_plan",
-    "load_plan",
-    "plan_sha256",
-    "trim_to_doc",
+    "SCHEMA_VERSION", "PLAN_VERSION", "PairLink", "TransmonEntry", "DeviceRegistry",
+    "load_registry", "save_registry", "load_trace", "save_trace", "save_plan", "load_plan",
+    "plan_sha256", "trim_to_doc",
 ]
 
 SCHEMA_VERSION = 1
 PLAN_VERSION = 1
 
-_RES_KEYS = {"id", "role", "f_meas_hz", "shoelaces"}
-_PAIR_IDS = ("id", "transmon", "readout", "purcell", "feedline")
-# PairLink rate fields and their defaults; each is stored as "<name>_hz"
-_PAIR_RATES = (("j", None), ("kappa", None), ("chi", 0.0),
-               ("gamma_r", 0.0), ("gamma_p", 0.0), ("kappa_drive", 0.0))
-_PAIR_KEYS = {*_PAIR_IDS, *(f"{name}_hz" for name, _ in _PAIR_RATES)}
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Field:
+    """How one JSON value is read: ``test`` accepts it, ``expected`` names
+    what it accepts (nothing is coerced), ``read`` converts an accepted
+    value other than null and ``item`` is the rule of a list's entries. An
+    absent key reads as ``default``; without one, the key is required."""
+
+    test: object
+    expected: str
+    default: object = _REQUIRED
+    read: object = None
+    item: object = None
+
+
+def _is_real(v):
+    """An int or float within the float range; bools are not numbers."""
+    return isinstance(v, float) or (
+        isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+
+
+def _number(test, expected, read=float):
+    return _Field(lambda v: _is_real(v) and math.isfinite(v) and test(v), expected, read=read)
+
+
+def _or_null(rule):
+    """rule for a key that may also be null; null and absent read as None."""
+    return replace(rule, test=lambda v: v is None or rule.test(v),
+                   expected=f"{rule.expected} or null", default=None)
+
+
+def _list_of(item, default=_REQUIRED):
+    return _Field(lambda v: isinstance(v, list), "a list", default, item=item)
+
+
+_STR = _Field(lambda v: isinstance(v, str), "a string")
+_COUNT = _Field(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+                "a non-negative integer")
+_BOOL = _Field(lambda v: isinstance(v, bool), "true or false")
+_OBJECT = _Field(lambda v: isinstance(v, dict), "an object")
+_POSITIVE = _number(lambda v: v > 0, "a positive finite number")
+_NON_NEGATIVE = _number(lambda v: v >= 0, "a non-negative finite number")
+_LOSS = replace(_NON_NEGATIVE, default=0.0)
+
+# A table reads an object: key -> rule, with a nested table for a nested object.
+_RESONATOR = {"id": _STR, "role": _Field(lambda v: v in ("readout", "purcell"),
+                                         "'readout' or 'purcell'"),
+              "f_meas_hz": _POSITIVE,
+              "shoelaces": {"total": _COUNT, "remaining": _COUNT, "pitch_m": _POSITIVE}}
+# transmon values are kept as written: an integer stays an integer
+_SET_POSITIVE = _or_null(_number(lambda v: v > 0, "a positive number", read=None))
+_TRANSMON = {"id": _STR, "f_q_hz": _SET_POSITIVE, "e_j_hz": _SET_POSITIVE,
+             "e_c_hz": _SET_POSITIVE, "r_j_ohm": _SET_POSITIVE,
+             "alpha_hz": _or_null(_number(lambda v: v < 0, "a negative number", read=None))}
+# each key is a PairLink field, with "_hz" on the rates
+_PAIR = {"id": _STR, "transmon": _or_null(_STR), "readout": _STR, "purcell": _STR,
+         "feedline": _or_null(_STR),
+         "j_hz": _or_null(_POSITIVE), "kappa_hz": _or_null(_POSITIVE),
+         "chi_hz": replace(_number(lambda v: True, "a finite number"), default=0.0),
+         "gamma_r_hz": _LOSS, "gamma_p_hz": _LOSS, "kappa_drive_hz": _LOSS}
+# the history entries that cycle_outcome and apply_cycle read back
+_EVENTS = {
+    "fit": {"pair": _STR, "f_r_hz": _POSITIVE, "f_p_hz": _POSITIVE,
+            "converged": replace(_BOOL, default=True)},
+    "apply": {"cycle_index": _Field(lambda v: _COUNT.test(v) and v >= 1, "an integer >= 1"),
+              "plan_sha256": replace(_STR, default=None),
+              "simulated": replace(_BOOL, default=False),
+              "actions": _list_of({"resonator": _STR, "n_remove": _COUNT,
+                                   "delta_l_m": _NON_NEGATIVE, "f_before_hz": _POSITIVE,
+                                   "f_after_hz": _POSITIVE, "predicted_f_hz": _POSITIVE})},
+}
+
+
+def _event_rule(entry):
+    event = entry.get("event") if isinstance(entry, dict) else None
+    return _EVENTS[event] if event in ("fit", "apply") else _OBJECT
+
+
+_REGISTRY = {"device_id": replace(_STR, default=""), "resonators": _list_of(_RESONATOR, ()),
+             "transmons": _list_of(_TRANSMON, ()), "pairs": _list_of(_PAIR, ()),
+             "history": _list_of(_event_rule, ())}
+# each key is a TrimAction field
+_PLAN_ACTION = {"resonator_id": _STR, "n_remove": _COUNT, "delta_l": _NON_NEGATIVE,
+                "predicted_delta_f": _number(lambda v: v <= 0, "a finite number <= 0"),
+                "predicted_f": _POSITIVE}
+# Infinity is a valid spacing: a feedline with one pair has no neighbours
+_OBJECTIVE = _Field(lambda v: _is_real(v) and v >= 0, "a non-negative number", 0.0, float)
+_PLAN = {"cycle_index": replace(_COUNT, default=0), "feasible": replace(_BOOL, default=True),
+         "objective_before_hz": _OBJECTIVE, "objective_after_hz": _OBJECTIVE,
+         "notes": _list_of(_STR, ()), "actions": _list_of(_PLAN_ACTION, ()),
+         "provenance": replace(_OBJECT, default={})}
+
 # TransmonEntry field -> registry key
 _TRANSMON_KEYS = {"f_q": "f_q_hz", "alpha": "alpha_hz", "e_j": "e_j_hz", "e_c": "e_c_hz",
                   "r_j": "r_j_ohm"}
@@ -56,40 +137,57 @@ _TRIM_KEYS = {"resonator_id": "resonator", "n_remove": "n_remove", "delta_l": "d
               "f_before": "f_before_hz", "f_after": "f_after_hz", "predicted_f": "predicted_f_hz"}
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+def _walk(path, value, rule, problems):
+    """value as its rule reads it; each bad field goes to problems by path.
+
+    A rule is a :class:`_Field`, a table or a function of the value that
+    returns its rule. A table keeps the keys it does not name as they are.
+    """
+    if callable(rule):
+        rule = rule(value)
+    table, rule = (rule, _OBJECT) if isinstance(rule, dict) else (None, rule)
+    if not rule.test(value):
+        problems.append(f"{path}: expected {rule.expected}, got {value!r}")
+    elif table is not None:
+        value = dict(value)
+        for key, sub in table.items():
+            where = f"{path}.{key}" if path else key
+            if key in value:
+                value[key] = _walk(where, value[key], sub, problems)
+            elif getattr(sub, "default", _REQUIRED) is _REQUIRED:
+                problems.append(f"{where}: missing")
+            else:
+                value[key] = sub.default
+    elif rule.item is not None:
+        value = [_walk(f"{path}[{i}]", v, rule.item, problems) for i, v in enumerate(value)]
+    elif value is not None and rule.read is not None:
+        value = rule.read(value)
+    return value
 
 
-def _is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _read(doc, what, version, table):
+    """doc as table reads it; ValidationError listing every bad field."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if not (_COUNT.test(doc.get("version")) and doc["version"] == version):
+        raise ValidationError(f"unsupported {what} version {doc.get('version')!r}")
+    problems = []
+    values = _walk("", doc, table, problems)
+    if problems:
+        raise ValidationError(f"{what} schema violation", paths=problems)
+    return values
 
 
-def _is_str(value):
-    return isinstance(value, str)
+def _extras(entry, table):
+    return {k: v for k, v in entry.items() if k not in table}
 
 
-def _check(where, entry, keys, ok, expected, problems):
-    """Record each key of entry whose value fails ok; True when any does."""
-    bad = [k for k in keys if not ok(entry.get(k))]
-    problems.extend(f"{where}.{k}: expected {expected}, got {entry.get(k)!r}" for k in bad)
-    return bool(bad)
-
-
-def _transmon_problems(where, values, problems):
-    """Check the set fields of a transmon, given by registry key; True when any is bad."""
-    def unset_or(ok):
-        return lambda v: v is None or (_is_number(v) and ok(v))
-
-    bad = _check(where, values, ("f_q_hz", "e_j_hz", "e_c_hz", "r_j_ohm"),
-                 unset_or(lambda v: v > 0), "a positive number", problems)
-    bad |= _check(where, values, ("alpha_hz",), unset_or(lambda v: v < 0),
-                  "a negative number", problems)
-    e_j, e_c = values.get("e_j_hz"), values.get("e_c_hz")
-    if not bad and e_j is not None and e_c is not None and e_j < TRANSMON_RATIO_FLOOR * e_c:
-        problems.append(f"{where}.e_j_hz: e_j/e_c = {e_j / e_c:.3g} is below the transmon "
+def _ratio_problem(path, entry, problems):
+    """Record an e_j/e_c below the transmon floor when both are set numbers."""
+    e_j, e_c = entry["e_j_hz"], entry["e_c_hz"]
+    if _is_real(e_j) and _is_real(e_c) and e_j < TRANSMON_RATIO_FLOOR * e_c:
+        problems.append(f"{path}.e_j_hz: e_j/e_c = {e_j / e_c:.3g} is below the transmon "
                         f"floor {TRANSMON_RATIO_FLOOR:g}")
-        bad = True
-    return bad
 
 
 @dataclass
@@ -110,9 +208,14 @@ class TransmonEntry:
 
     def __post_init__(self):
         problems = []
-        values = {key: getattr(self, name) for name, key in _TRANSMON_KEYS.items()}
-        if _transmon_problems(f"transmon {self.id}", values, problems):
+        entry = _walk(f"transmon {self.id}", _transmon_doc(self), _TRANSMON, problems)
+        _ratio_problem(f"transmon {self.id}", entry, problems)
+        if problems:
             raise DomainError("; ".join(problems))
+
+
+def _transmon_doc(t):
+    return {"id": t.id, **{key: getattr(t, name) for name, key in _TRANSMON_KEYS.items()}}
 
 
 def trim_to_doc(trim):
@@ -158,15 +261,20 @@ class DeviceRegistry:
     res_extras: dict = field(default_factory=dict)
 
     def validate(self):
-        problems = []
+        """Check the cross-references: a pair's resonators exist, have the
+        role of their slot and belong to no other pair; its transmon exists."""
+        problems, owner = [], {}
         for pid, pair in self.pairs.items():
-            for key, role in (("readout", "readout"), ("purcell", "purcell")):
-                rid = getattr(pair, key)
+            for role in ("readout", "purcell"):
+                rid = getattr(pair, role)
                 rec = self.resonators.get(rid)
                 if rec is None:
-                    problems.append(f"pairs.{pid}.{key}: unknown resonator {rid!r}")
+                    problems.append(f"pairs.{pid}.{role}: unknown resonator {rid!r}")
                 elif rec.role != role:
-                    problems.append(f"pairs.{pid}.{key}: resonator {rid!r} has role {rec.role!r}")
+                    problems.append(f"pairs.{pid}.{role}: resonator {rid!r} has role {rec.role!r}")
+                elif owner.setdefault(rid, pid) != pid:
+                    problems.append(f"pairs.{pid}.{role}: resonator {rid!r} already belongs "
+                                    f"to pair {owner[rid]!r}")
             if pair.transmon is not None and pair.transmon not in self.transmons:
                 problems.append(f"pairs.{pid}.transmon: unknown transmon {pair.transmon!r}")
         if problems:
@@ -202,9 +310,10 @@ class DeviceRegistry:
     def cycle_outcome(self, cycle_index):
         """Trims applied in one cycle and the frequencies measured after them.
 
-        A resonator's frequency is that of the latest fit of its pair after
-        the cycle's apply and before the next apply; without such a fit, a
-        simulated apply's f_after stands in. Returns (trims, {id: Hz}).
+        A resonator's frequency is that of the latest converged fit of its
+        pair after the cycle's apply and before the next apply; without
+        such a fit, a simulated apply's f_after stands in. Returns
+        (trims, {id: Hz}).
         """
         trims, measured, in_cycle = [], {}, False
         for h in self.history:
@@ -216,173 +325,83 @@ class DeviceRegistry:
                     trims.append(AppliedTrim(**{n: a[key] for n, key in _TRIM_KEYS.items()}))
                     if h.get("simulated"):
                         measured[a["resonator"]] = a["f_after_hz"]
-            elif h.get("event") == "fit" and in_cycle and h["pair"] in self.pairs:
+            elif (h.get("event") == "fit" and in_cycle and h.get("converged", True)
+                  and h["pair"] in self.pairs):
                 link = self.pairs[h["pair"]]
                 measured[link.readout], measured[link.purcell] = h["f_r_hz"], h["f_p_hz"]
         return trims, measured
 
 
 def _registry_to_doc(reg):
-    doc = dict(reg.extras)
-    doc["version"] = SCHEMA_VERSION
-    doc["device_id"] = reg.device_id
-    doc["resonators"] = []
-    for rid in sorted(reg.resonators):
-        rec = reg.resonators[rid]
-        entry = dict(reg.res_extras.get(rid, {}))
-        entry.update(
-            {
-                "id": rec.id,
-                "role": rec.role,
+    def resonator(rid, rec):
+        sh = rec.shoelaces
+        return {**reg.res_extras.get(rid, {}), "id": rec.id, "role": rec.role,
                 "f_meas_hz": rec.f_meas,
-                "shoelaces": {
-                    "total": rec.shoelaces.total,
-                    "remaining": rec.shoelaces.remaining,
-                    "pitch_m": rec.shoelaces.pitch,
-                },
-            }
-        )
-        doc["resonators"].append(entry)
-    doc["transmons"] = []
-    for tid in sorted(reg.transmons):
-        t = reg.transmons[tid]
-        entry = dict(t.extras)
-        entry.update({key: getattr(t, name) for name, key in _TRANSMON_KEYS.items()}, id=t.id)
-        doc["transmons"].append(entry)
-    doc["pairs"] = []
-    for pid in sorted(reg.pairs):
-        p = reg.pairs[pid]
-        entry = dict(p.extras)
-        entry.update({key: getattr(p, key) for key in _PAIR_IDS})
-        entry.update({f"{name}_hz": getattr(p, name) for name, _ in _PAIR_RATES})
-        doc["pairs"].append(entry)
-    doc["history"] = list(reg.history)
-    return doc
+                "shoelaces": {"total": sh.total, "remaining": sh.remaining, "pitch_m": sh.pitch}}
 
-
-def _objects(entries, path, problems):
-    """(index, entry) for each object in the list at path; others go to problems."""
-    if not isinstance(entries, list):
-        problems.append(f"{path}: expected a list, got {type(entries).__name__}")
-        return []
-    out = []
-    for i, entry in enumerate(entries):
-        if isinstance(entry, dict):
-            out.append((i, entry))
-        else:
-            problems.append(f"{path}[{i}]: expected an object, got {type(entry).__name__}")
-    return out
-
-
-def _bad_ids(where, entry, keys, problems):
-    """Record id fields that are set but not strings; True when any is."""
-    return _check(where, entry, keys, lambda v: v is None or _is_str(v), "a string", problems)
-
-
-def _pair_rates(i, entry, problems):
-    """PairLink rate fields as floats (absent j/kappa stay None); bad ones go to problems."""
-    rates = {}
-    for name, default in _PAIR_RATES:
-        value = entry.get(f"{name}_hz")
-        try:
-            rates[name] = default if value is None else float(value)
-        except (TypeError, ValueError):
-            problems.append(f"pairs[{i}].{name}_hz: not a number: {value!r}")
-    return rates
-
-
-def _history_problems(where, h, problems):
-    """Check the fields of fit and apply entries, which ``cycle_outcome`` reads back."""
-    if h.get("event") == "fit":
-        _check(where, h, ("pair",), _is_str, "a string", problems)
-        _check(where, h, ("f_r_hz", "f_p_hz"), _is_number, "a finite number", problems)
-    elif h.get("event") == "apply":
-        _check(where, h, ("cycle_index",), lambda v: _is_count(v) and v >= 1,
-               "an integer >= 1", problems)
-        for j, a in _objects(h.get("actions"), f"{where}.actions", problems):
-            _check(f"{where}.actions[{j}]", a, ("resonator",), _is_str, "a string", problems)
-            _check(f"{where}.actions[{j}]", a, list(_TRIM_KEYS.values())[1:], _is_number,
-                   "a finite number", problems)
+    return {**reg.extras, "version": SCHEMA_VERSION, "device_id": reg.device_id,
+            "resonators": [resonator(*item) for item in sorted(reg.resonators.items())],
+            "transmons": [{**t.extras, **_transmon_doc(t)}
+                          for _, t in sorted(reg.transmons.items())],
+            "pairs": [{**p.extras, **{key: getattr(p, key.removesuffix("_hz")) for key in _PAIR}}
+                      for _, p in sorted(reg.pairs.items())],
+            "history": list(reg.history)}
 
 
 def _doc_to_registry(doc):
+    values = _read(doc, "registry", SCHEMA_VERSION, _REGISTRY)
     problems = []
-    if not isinstance(doc, dict):
-        raise ValidationError(f"registry must be a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported registry version {doc.get('version')!r}")
-    reg = DeviceRegistry(device_id=doc.get("device_id", ""))
-    reg.extras = {k: v for k, v in doc.items()
-                  if k not in ("version", "device_id", "resonators", "transmons", "pairs", "history")}
-    for i, entry in _objects(doc.get("resonators", []), "resonators", problems):
-        if _bad_ids(f"resonators[{i}]", entry, ("id",), problems):
-            continue
-        try:
-            sh = entry["shoelaces"]
-            rec = ResonatorRecord(
-                id=entry["id"],
-                role=entry["role"],
-                f_meas=float(entry["f_meas_hz"]),
-                shoelaces=ShoelaceArray(
-                    total=int(sh["total"]), remaining=int(sh["remaining"]),
-                    pitch=float(sh["pitch_m"]),
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"resonators[{i}]: {exc}")
-            continue
-        reg.resonators[rec.id] = rec
-        extras = {k: v for k, v in entry.items() if k not in _RES_KEYS}
-        if extras:
-            reg.res_extras[rec.id] = extras
-    for i, entry in _objects(doc.get("transmons", []), "transmons", problems):
-        if (_bad_ids(f"transmons[{i}]", entry, ("id",), problems)
-                | _transmon_problems(f"transmons[{i}]", entry, problems)):
-            continue
-        try:
-            t = TransmonEntry(
-                id=entry["id"], **{name: entry.get(key) for name, key in _TRANSMON_KEYS.items()},
-                extras={k: v for k, v in entry.items()
-                        if k != "id" and k not in _TRANSMON_KEYS.values()})
-        except KeyError as exc:
-            problems.append(f"transmons[{i}]: missing {exc}")
-            continue
-        reg.transmons[t.id] = t
-    for i, entry in _objects(doc.get("pairs", []), "pairs", problems):
-        rates = _pair_rates(i, entry, problems)
-        if _bad_ids(f"pairs[{i}]", entry, ("id", "transmon", "readout", "purcell"), problems):
-            continue
-        try:
-            p = PairLink(
-                id=entry["id"], transmon=entry.get("transmon"),
-                readout=entry["readout"], purcell=entry["purcell"],
-                feedline=entry.get("feedline"), **rates,
-                extras={k: v for k, v in entry.items() if k not in _PAIR_KEYS},
-            )
-        except KeyError as exc:
-            problems.append(f"pairs[{i}]: missing {exc}")
-            continue
-        reg.pairs[p.id] = p
-    for i, h in _objects(doc.get("history", []), "history", problems):
-        _history_problems(f"history[{i}]", h, problems)
-        reg.history.append(h)
+    for kind in ("resonators", "transmons", "pairs"):
+        ids = [entry["id"] for entry in values[kind]]
+        problems += [f"{kind}[{i}].id: duplicate id {rid!r}"
+                     for i, rid in enumerate(ids) if rid in ids[:i]]
+    for i, entry in enumerate(values["resonators"]):
+        sh = entry["shoelaces"]
+        if sh["remaining"] > sh["total"]:
+            problems.append(f"resonators[{i}].shoelaces.remaining: exceeds the total {sh['total']}")
+    for i, entry in enumerate(values["transmons"]):
+        _ratio_problem(f"transmons[{i}]", entry, problems)
     if problems:
-        raise ValidationError("registry schema violation", paths=problems)
+        raise ValidationError("registry validation failed", paths=problems)
+    reg = DeviceRegistry(values["device_id"], extras=_extras(doc, {"version", *_REGISTRY}),
+                         history=list(doc.get("history", ())))
+    for entry in values["resonators"]:
+        sh = entry["shoelaces"]
+        reg.resonators[entry["id"]] = ResonatorRecord(
+            entry["id"], entry["role"], entry["f_meas_hz"],
+            ShoelaceArray(sh["total"], sh["remaining"], sh["pitch_m"]))
+        if _extras(entry, _RESONATOR):
+            reg.res_extras[entry["id"]] = _extras(entry, _RESONATOR)
+    for entry in values["transmons"]:
+        reg.transmons[entry["id"]] = TransmonEntry(
+            entry["id"], **{name: entry[key] for name, key in _TRANSMON_KEYS.items()},
+            extras=_extras(entry, _TRANSMON))
+    for entry in values["pairs"]:
+        reg.pairs[entry["id"]] = PairLink(
+            **{key.removesuffix("_hz"): entry[key] for key in _PAIR},
+            extras=_extras(entry, _PAIR))
     reg.validate()
     return reg
 
 
+def _dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def dumps_registry(reg):
-    return json.dumps(_registry_to_doc(reg), indent=2, sort_keys=True) + "\n"
+    return _dumps(_registry_to_doc(reg))
+
+
+def _load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"not valid JSON: {exc}") from exc
 
 
 def load_registry(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from exc
-    return _doc_to_registry(doc)
+    return _doc_to_registry(_load_json(path))
 
 
 def _atomic_write(path, text):
@@ -399,7 +418,11 @@ def _atomic_write(path, text):
 
 
 def save_registry(reg, path):
-    _atomic_write(path, dumps_registry(reg))
+    """Write reg once the text passes every check of :func:`load_registry`;
+    otherwise raise ValidationError and leave the file as it was."""
+    text = dumps_registry(reg)
+    _doc_to_registry(json.loads(text))
+    _atomic_write(path, text)
 
 
 TRACE_HEADER = ["frequency_hz", "re_s21", "im_s21"]
@@ -467,8 +490,24 @@ def plan_to_doc(plan, provenance=None):
     }
 
 
+def _doc_to_plan(doc):
+    values = _read(doc, "plan", PLAN_VERSION, _PLAN)
+    plan = TrimPlan(
+        actions=[TrimAction(**{key: a[key] for key in _PLAN_ACTION}) for a in values["actions"]],
+        objective_before=values["objective_before_hz"],
+        objective_after=values["objective_after_hz"],
+        cycle_index=values["cycle_index"],
+        feasible=values["feasible"],
+        notes=list(values["notes"]),
+    )
+    return plan, dict(values["provenance"])
+
+
 def save_plan(plan, path, provenance=None):
-    _atomic_write(path, json.dumps(plan_to_doc(plan, provenance), indent=2, sort_keys=True) + "\n")
+    """Write the plan once the text passes every check of :func:`load_plan`."""
+    text = _dumps(plan_to_doc(plan, provenance))
+    _doc_to_plan(json.loads(text))
+    _atomic_write(path, text)
 
 
 def plan_sha256(plan, provenance=None):
@@ -478,44 +517,4 @@ def plan_sha256(plan, provenance=None):
 
 
 def load_plan(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"plan must be a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != PLAN_VERSION:
-        raise ValidationError(f"unsupported plan version {doc.get('version')!r}")
-    problems = []
-    actions = []
-    for i, a in _objects(doc.get("actions", []), "actions", problems):
-        if (_check(f"actions[{i}]", a, ("resonator_id",), _is_str, "a string", problems)
-                | _check(f"actions[{i}]", a, ("n_remove",), _is_count, "a non-negative integer",
-                         problems)):
-            continue
-        try:
-            numbers = [float(a[k]) for k in ("delta_l", "predicted_delta_f", "predicted_f")]
-            if not all(map(math.isfinite, numbers)):
-                raise ValueError(f"non-finite number in {numbers}")
-            actions.append(TrimAction(a["resonator_id"], a["n_remove"], *numbers))
-        except (KeyError, TypeError, ValueError, DomainError) as exc:
-            problems.append(f"actions[{i}]: malformed action: {exc}")
-    cycle = doc.get("cycle_index", 0)
-    if not _is_count(cycle):
-        problems.append(f"cycle_index: expected a non-negative integer, got {cycle!r}")
-    if problems:
-        raise ValidationError("plan schema violation", paths=problems)
-    try:
-        plan = TrimPlan(
-            actions=actions,
-            objective_before=float(doc.get("objective_before_hz", 0.0)),
-            objective_after=float(doc.get("objective_after_hz", 0.0)),
-            cycle_index=cycle,
-            feasible=bool(doc.get("feasible", True)),
-            notes=list(doc.get("notes", [])),
-        )
-        provenance = dict(doc.get("provenance", {}))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed plan: {exc}") from exc
-    return plan, provenance
+    return _doc_to_plan(_load_json(path))

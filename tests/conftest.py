@@ -1,9 +1,14 @@
 """Shared synthetic-trace helpers for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from resotrim.fitting import TransmissionTrace
 from resotrim.pairmodel import PairParams, eigenmodes, s21_ideal
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, so a
+# red CI run replays locally with the same flag
+settings.register_profile("ci", derandomize=True)
 
 
 def synth_trace(p, span, n, center=None, noise=0.0, seed=0, model=s21_ideal):

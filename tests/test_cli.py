@@ -1,5 +1,6 @@
 """CLI surface tests driven through click's runner."""
 
+import functools
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import resotrim
+from resotrim import cli
 from resotrim.cli import main
-from resotrim.fitting import TransmissionTrace
+from resotrim.fitting import TransmissionTrace, fit_pair
 from resotrim.pairmodel import PairParams, s21_ideal
 from resotrim.planner import ResonatorRecord, ShoelaceArray, freq_shift, two_cycle_protocol
 from resotrim.registry import (
@@ -228,6 +230,57 @@ class TestPlanAndApply:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["cycle_index"] == 2
 
+    @pytest.mark.parametrize("corruption", ["duplicate-resonator-id", "resonator-in-two-pairs"])
+    def test_apply_refuses_an_ambiguous_registry(self, runner, tmp_path, corruption):
+        # once loaded, a duplicate record drops out of the file and two pairs'
+        # actions on one resonator add up, so apply must refuse such a registry
+        reg_path = tmp_path / "reg.json"
+        small_registry(reg_path, [(7.5e9, 7.521e9)])
+        corrupt, path = MALFORMED_REGISTRIES[corruption]
+        reg_path.write_text(json.dumps(corrupt(json.loads(reg_path.read_text()))))
+        before = reg_path.read_bytes()
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"version": 1, "cycle_index": 1,
+                                         "actions": [VALID_ACTION]}))
+        result = runner.invoke(main, ["apply", "--registry", str(reg_path), "--plan",
+                                      str(plan_path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("validation: ")
+        assert path in result.stderr
+        assert reg_path.read_bytes() == before
+
+    def test_unconverged_fit_is_only_recorded(self, runner, tmp_path, monkeypatch):
+        # a fit starved of iterations cannot converge; it must not move the
+        # registry's frequencies or rates, nor stand in as a re-measurement
+        reg_path = tmp_path / "reg.json"
+        small_registry(reg_path, [(7.80e9, 7.84e9)])
+        plan_path = tmp_path / "plan1.json"
+        result = runner.invoke(main, ["plan", "pair", "--registry", str(reg_path),
+                                      "--all-pairs", "--naive-slope", "--out", str(plan_path)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["apply", "--registry", str(reg_path),
+                                      "--plan", str(plan_path)])
+        assert result.exit_code == 0, result.output
+        before = load_registry(reg_path)
+        monkeypatch.setattr(cli, "fit_pair", functools.partial(fit_pair, max_iter=1))
+        truth = PairParams(f_r=7.80e9, f_p=7.82e9, j=10e6, kappa=20e6)
+        f = np.linspace(7.71e9, 7.91e9, 1201)
+        trace_path = tmp_path / "cycle1.csv"
+        save_trace(TransmissionTrace(freqs=f, values=s21_ideal(f, truth)), trace_path)
+        result = runner.invoke(main, ["fit", "--trace", str(trace_path), "--no-baseline",
+                                      "--registry", str(reg_path), "--pair", "pair0"])
+        assert result.exit_code == 3
+        assert not json.loads(result.output)["converged"]
+        after = load_registry(reg_path)
+        assert after.resonators == before.resonators
+        assert after.pairs == before.pairs
+        assert after.history[:-1] == before.history
+        assert after.history[-1]["event"] == "fit"
+        assert after.history[-1]["converged"] is False
+        result = runner.invoke(main, ["fit-nu-rho", "--registry", str(reg_path), "--cycle", "1"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("underdetermined: ")
+
     def test_plan_crowding_runs(self, runner, tmp_path):
         reg_path = tmp_path / "reg.json"
         small_registry(
@@ -363,42 +416,89 @@ class TestReport:
         assert result.exit_code == 0, result.output
 
 
+def _resonator(doc, **fields):
+    """doc with fields set on its first resonator (p0) or, with a dict, on its shoelaces."""
+    first = dict(doc["resonators"][0])
+    for key, value in fields.items():
+        first[key] = {**first[key], **value} if isinstance(value, dict) else value
+    return {**doc, "resonators": [first, *doc["resonators"][1:]]}
+
+
+def _pair(doc, **fields):
+    return {**doc, "pairs": [{**doc["pairs"][0], **fields}]}
+
+
+# name -> (corruption, path of the bad field; None for a bad top level)
 MALFORMED_REGISTRIES = {
-    "pairs-string": lambda doc: {**doc, "pairs": "pair0"},
-    "top-level-array": lambda doc: [doc],
-    "j-not-a-number": lambda doc: {**doc, "pairs": [{**doc["pairs"][0], "j_hz": "ten"}]},
-    "history-object": lambda doc: {**doc, "history": {"event": "apply"}},
-    "readout-id-list": lambda doc: {**doc, "pairs": [{**doc["pairs"][0], "readout": ["r0"]}]},
-    "transmon-f-q-string": lambda doc: {**doc, "transmons": [{"id": "q0", "f_q_hz": "six"}]},
-    "transmon-alpha-positive": lambda doc: {**doc, "transmons": [{"id": "q0", "alpha_hz": 3e8}]},
-    "transmon-e-j-list": lambda doc: {**doc, "transmons": [{"id": "q0", "e_j_hz": [1]}]},
-    "transmon-r-j-negative": lambda doc: {**doc, "transmons": [{"id": "q0", "r_j_ohm": -5}]},
-    "transmon-below-ratio-floor": lambda doc: {
-        **doc, "transmons": [{"id": "q0", "e_j_hz": 1e9, "e_c_hz": 3e8}]},
-    "apply-cycle-index-string": lambda doc: {
+    "pairs-string": (lambda doc: {**doc, "pairs": "pair0"}, "pairs"),
+    "top-level-array": (lambda doc: [doc], None),
+    "j-not-a-number": (lambda doc: _pair(doc, j_hz="ten"), "pairs[0].j_hz"),
+    "history-object": (lambda doc: {**doc, "history": {"event": "apply"}}, "history"),
+    "readout-id-list": (lambda doc: _pair(doc, readout=["r0"]), "pairs[0].readout"),
+    "transmon-f-q-string": (lambda doc: {**doc, "transmons": [{"id": "q0", "f_q_hz": "six"}]},
+                            "transmons[0].f_q_hz"),
+    "transmon-alpha-positive": (
+        lambda doc: {**doc, "transmons": [{"id": "q0", "alpha_hz": 3e8}]}, "transmons[0].alpha_hz"),
+    "transmon-e-j-list": (lambda doc: {**doc, "transmons": [{"id": "q0", "e_j_hz": [1]}]},
+                          "transmons[0].e_j_hz"),
+    "transmon-r-j-negative": (lambda doc: {**doc, "transmons": [{"id": "q0", "r_j_ohm": -5}]},
+                              "transmons[0].r_j_ohm"),
+    "transmon-below-ratio-floor": (lambda doc: {
+        **doc, "transmons": [{"id": "q0", "e_j_hz": 1e9, "e_c_hz": 3e8}]}, "transmons[0].e_j_hz"),
+    "apply-cycle-index-string": (lambda doc: {
         **doc, "history": [{"event": "apply", "cycle_index": "1", "actions": []}]},
-    "apply-cycle-index-zero": lambda doc: {
+        "history[0].cycle_index"),
+    "apply-cycle-index-zero": (lambda doc: {
         **doc, "history": [{"event": "apply", "cycle_index": 0, "actions": []}]},
-    "apply-actions-object": lambda doc: {
+        "history[0].cycle_index"),
+    "apply-actions-object": (lambda doc: {
         **doc, "history": [{"event": "apply", "cycle_index": 1, "actions": {}}]},
-    "apply-action-f-after-missing": lambda doc: {**doc, "history": [{
+        "history[0].actions"),
+    "apply-action-f-after-missing": (lambda doc: {**doc, "history": [{
         "event": "apply", "cycle_index": 1, "actions": [{
             "resonator": "p0", "n_remove": 1, "delta_l_m": 5e-6, "f_before_hz": 7.502e9,
-            "predicted_f_hz": 7.5e9}]}]},
-    "fit-f-p-string": lambda doc: {**doc, "history": [{
+            "predicted_f_hz": 7.5e9}]}]}, "history[0].actions[0].f_after_hz"),
+    "fit-f-p-string": (lambda doc: {**doc, "history": [{
         "event": "fit", "pair": "pair0", "f_r_hz": 7.5e9, "f_p_hz": "7.5 GHz"}]},
+        "history[0].f_p_hz"),
+    "f-meas-nan": (lambda doc: _resonator(doc, f_meas_hz=float("nan")),
+                   "resonators[0].f_meas_hz"),
+    "f-meas-infinity": (lambda doc: _resonator(doc, f_meas_hz=float("inf")),
+                        "resonators[0].f_meas_hz"),
+    "f-meas-string": (lambda doc: _resonator(doc, f_meas_hz="7.5e9"), "resonators[0].f_meas_hz"),
+    "f-meas-bool": (lambda doc: _resonator(doc, f_meas_hz=True), "resonators[0].f_meas_hz"),
+    "shoelace-total-float": (lambda doc: _resonator(doc, shoelaces={"total": 10.9}),
+                             "resonators[0].shoelaces.total"),
+    "shoelace-remaining-bool": (lambda doc: _resonator(doc, shoelaces={"remaining": True}),
+                                "resonators[0].shoelaces.remaining"),
+    "shoelace-remaining-over-total": (lambda doc: _resonator(doc, shoelaces={"remaining": 11}),
+                                      "resonators[0].shoelaces.remaining"),
+    "j-negative": (lambda doc: _pair(doc, j_hz=-1e7), "pairs[0].j_hz"),
+    "j-nan": (lambda doc: _pair(doc, j_hz=float("nan")), "pairs[0].j_hz"),
+    "device-id-number": (lambda doc: {**doc, "device_id": 17}, "device_id"),
+    "duplicate-resonator-id": (lambda doc: {
+        **doc, "resonators": [*doc["resonators"], {**doc["resonators"][0], "f_meas_hz": 7.6e9}]},
+        "resonators[2].id"),
+    "resonator-in-two-pairs": (lambda doc: {**doc, "resonators": [*doc["resonators"], {
+        **doc["resonators"][1], "id": "r1"}], "pairs": [*doc["pairs"], {
+            **doc["pairs"][0], "id": "pair1", "readout": "r1"}]}, "pairs.pair1.purcell"),
 }
 
 
-@pytest.mark.parametrize("corrupt", MALFORMED_REGISTRIES.values(), ids=MALFORMED_REGISTRIES)
-def test_malformed_registry_is_a_validation_error(runner, tmp_path, corrupt):
+@pytest.mark.parametrize("corrupt, path", MALFORMED_REGISTRIES.values(), ids=MALFORMED_REGISTRIES)
+def test_malformed_registry_is_a_validation_error(runner, tmp_path, corrupt, path):
     reg_path = tmp_path / "reg.json"
     small_registry(reg_path, [(7.5e9, 7.502e9)])
     reg_path.write_text(json.dumps(corrupt(json.loads(reg_path.read_text()))))
+    before = reg_path.read_bytes()
     result = runner.invoke(main, ["report", "--registry", str(reg_path)])
     assert result.exit_code == 2, result.output
-    assert result.stderr.splitlines()[0].startswith("validation: ")
+    lines = result.stderr.splitlines()
+    assert lines[0].startswith("validation: ")
+    if path is not None:
+        assert path in [line.strip().split(":")[0] for line in lines[1:]], result.stderr
     assert "Traceback" not in result.output
+    assert reg_path.read_bytes() == before
 
 
 def test_bad_transmon_fields_are_reported_by_path(runner, tmp_path):
@@ -419,24 +519,30 @@ def test_bad_transmon_fields_are_reported_by_path(runner, tmp_path):
 
 VALID_ACTION = {"resonator_id": "p0", "n_remove": 3, "delta_l": 3 * 5e-6,
                 "predicted_delta_f": -3e6, "predicted_f": 7.518e9}
+# name -> (plan document, path of the bad field; None for a bad top level)
 MALFORMED_PLANS = {
-    "top-level-array": [],
-    "actions-object": {"actions": VALID_ACTION},
-    "action-string": {"actions": ["p0"]},
-    "resonator-id-list": {"actions": [{**VALID_ACTION, "resonator_id": ["p0"]}]},
-    "resonator-id-null": {"actions": [{**VALID_ACTION, "resonator_id": None}]},
-    "n-remove-float": {"actions": [{**VALID_ACTION, "n_remove": 2.5}]},
-    "n-remove-string": {"actions": [{**VALID_ACTION, "n_remove": "3"}]},
-    "n-remove-negative": {"actions": [{**VALID_ACTION, "n_remove": -1}]},
-    "predicted-f-nan": {"actions": [{**VALID_ACTION, "predicted_f": float("nan")}]},
-    "predicted-shift-up": {"actions": [{**VALID_ACTION, "predicted_delta_f": 3e6}]},
-    "cycle-index-negative": {"cycle_index": -1, "actions": [VALID_ACTION]},
-    "cycle-index-string": {"cycle_index": "2", "actions": [VALID_ACTION]},
+    "top-level-array": ([], None),
+    "actions-object": ({"actions": VALID_ACTION}, "actions"),
+    "action-string": ({"actions": ["p0"]}, "actions[0]"),
+    "resonator-id-list": ({"actions": [{**VALID_ACTION, "resonator_id": ["p0"]}]},
+                          "actions[0].resonator_id"),
+    "resonator-id-null": ({"actions": [{**VALID_ACTION, "resonator_id": None}]},
+                          "actions[0].resonator_id"),
+    "n-remove-float": ({"actions": [{**VALID_ACTION, "n_remove": 2.5}]}, "actions[0].n_remove"),
+    "n-remove-string": ({"actions": [{**VALID_ACTION, "n_remove": "3"}]}, "actions[0].n_remove"),
+    "n-remove-negative": ({"actions": [{**VALID_ACTION, "n_remove": -1}]}, "actions[0].n_remove"),
+    "predicted-f-nan": ({"actions": [{**VALID_ACTION, "predicted_f": float("nan")}]},
+                        "actions[0].predicted_f"),
+    "delta-l-negative": ({"actions": [{**VALID_ACTION, "delta_l": -5e-6}]}, "actions[0].delta_l"),
+    "predicted-shift-up": ({"actions": [{**VALID_ACTION, "predicted_delta_f": 3e6}]},
+                           "actions[0].predicted_delta_f"),
+    "cycle-index-negative": ({"cycle_index": -1, "actions": [VALID_ACTION]}, "cycle_index"),
+    "cycle-index-string": ({"cycle_index": "2", "actions": [VALID_ACTION]}, "cycle_index"),
 }
 
 
-@pytest.mark.parametrize("doc", MALFORMED_PLANS.values(), ids=MALFORMED_PLANS)
-def test_malformed_plan_is_a_validation_error(runner, tmp_path, doc):
+@pytest.mark.parametrize("doc, path", MALFORMED_PLANS.values(), ids=MALFORMED_PLANS)
+def test_malformed_plan_is_a_validation_error(runner, tmp_path, doc, path):
     reg_path = tmp_path / "reg.json"
     small_registry(reg_path, [(7.5e9, 7.521e9)])
     before = reg_path.read_bytes()
@@ -449,7 +555,10 @@ def test_malformed_plan_is_a_validation_error(runner, tmp_path, doc):
         main, ["apply", "--registry", str(reg_path), "--plan", str(plan_path)]
     )
     assert result.exit_code == 2, result.output
-    assert result.stderr.splitlines()[0].startswith("validation: ")
+    lines = result.stderr.splitlines()
+    assert lines[0].startswith("validation: ")
+    if path is not None:
+        assert path in [line.strip().split(":")[0] for line in lines[1:]], result.stderr
     assert "Traceback" not in result.output
     assert reg_path.read_bytes() == before
 

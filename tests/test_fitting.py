@@ -195,8 +195,13 @@ class TestFitPair:
         tr = make_trace(truth, span=1e8, n=1601, model=s21_full)
         result = fit_pair(tr, truth, model="full", restarts=False)
         assert result.converged
-        names = ("f_r", "f_p", "j", "kappa", "gamma_r", "gamma_p", "kappa_drive")
-        assert max(rel_errors(result.params, truth, names).values()) < 1e-4
+        errors = rel_errors(result.params, truth, ("f_r", "f_p", "j", "kappa", "gamma_p"))
+        # gamma_r and kappa_drive enter S21 only as a sum; the fit returns it as gamma_r
+        loss_r = truth.gamma_r + truth.kappa_drive
+        errors["gamma_r + kappa_drive"] = abs(
+            result.params.gamma_r + result.params.kappa_drive - loss_r) / loss_r
+        assert result.params.kappa_drive == 0.0
+        assert max(errors.values()) < 1e-4
 
     def test_noisy_recovery_single_seed(self):
         truth = PairParams(f_r=7.5e9, f_p=7.503e9, j=10e6, kappa=3e6)

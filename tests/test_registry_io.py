@@ -1,11 +1,14 @@
 """Registry, trace-file, and plan-file round-trip tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resotrim.errors import ParseError, ValidationError
+from resotrim.errors import ParseError, ResotrimError, ValidationError
 from resotrim.fitting import TransmissionTrace
 from resotrim.planner import (
     ResonatorRecord,
@@ -93,7 +96,7 @@ class TestRegistryRoundTrip:
         reg = device_fixture(1)
         del reg.resonators["p00"]
         path = tmp_path / "reg.json"
-        # save does not validate; the error surfaces on load
+        # dumps_registry does not validate (save_registry would refuse)
         path.write_text(dumps_registry(reg))
         with pytest.raises(ValidationError) as exc:
             load_registry(path)
@@ -118,6 +121,37 @@ class TestRegistryRoundTrip:
         path.write_text("{nope")
         with pytest.raises(ParseError):
             load_registry(path)
+
+    def test_integers_in_float_fields_save_as_floats(self, tmp_path):
+        # resonator and pair numbers are read as floats; transmon values as written
+        path = tmp_path / "reg.json"
+        save_registry(device_fixture(1), path)
+        doc = json.loads(path.read_text())
+        doc["resonators"][0]["f_meas_hz"] = 7_215_000_000
+        doc["resonators"][0]["shoelaces"]["pitch_m"] = 1
+        doc["pairs"][0]["j_hz"] = 10_000_000
+        doc["transmons"][0]["r_j_ohm"] = 6000
+        path.write_text(json.dumps(doc))
+        save_registry(load_registry(path), path)
+        out = json.loads(path.read_text())
+        assert out["resonators"][0]["f_meas_hz"] == 7.215e9
+        assert isinstance(out["resonators"][0]["f_meas_hz"], float)
+        assert isinstance(out["resonators"][0]["shoelaces"]["pitch_m"], float)
+        assert isinstance(out["pairs"][0]["j_hz"], float)
+        assert out["transmons"][0]["r_j_ohm"] == 6000
+        assert isinstance(out["transmons"][0]["r_j_ohm"], int)
+
+    def test_save_refuses_what_load_would_refuse(self, tmp_path):
+        reg = device_fixture(1)
+        path = tmp_path / "reg.json"
+        save_registry(reg, path)
+        before = path.read_bytes()
+        reg.resonators["p00"].shoelaces.remaining = -1
+        with pytest.raises(ValidationError) as exc:
+            save_registry(reg, path)
+        assert exc.value.paths == [
+            "resonators[0].shoelaces.remaining: expected a non-negative integer, got -1"]
+        assert path.read_bytes() == before
 
     def test_next_cycle_index(self):
         reg = device_fixture(1)
@@ -211,3 +245,91 @@ class TestPlanFiles:
         path.write_text(json.dumps({"version": 1, "actions": [{"n_remove": 1}]}))
         with pytest.raises(ValidationError):
             load_plan(path)
+
+
+def _field_paths(doc, prefix=()):
+    """Path (a tuple of keys and indices) of every value inside doc."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _valid_registry_doc(tmp_path):
+    reg = device_fixture(2)
+    reg.extras["lab_station"] = "fridge3"
+    reg.res_extras["p00"] = {"notes": "slightly lossy"}
+    reg.pairs["pair01"].transmon = None
+    reg.history += [
+        {"event": "fit", "pair": "pair00", "trace": "t.csv", "converged": True,
+         "f_r_hz": 7.2e9, "f_p_hz": 7.215e9},
+        {"event": "apply", "cycle_index": 1, "plan_sha256": "ab", "simulated": False,
+         "actions": [{"resonator": "p00", "n_remove": 2, "delta_l_m": 1e-5,
+                      "f_before_hz": 7.215e9, "f_after_hz": 7.195e9, "predicted_f_hz": 7.195e9}]},
+        {"event": "fit-nu-rho", "cycle_index": 1, "nu_rho_m_per_s": 1.076e8},
+    ]
+    path = tmp_path / "valid.json"
+    save_registry(reg, path)
+    return json.loads(path.read_text())
+
+
+def _valid_plan_doc(tmp_path):
+    plan = TrimPlan(
+        actions=[TrimAction("p00", 2, 1e-5, -20.9e6, 7.479e9),
+                 TrimAction("r01", 1, 5e-6, -10.4e6, 7.23e9)],
+        objective_before=21e6, objective_after=math.inf, cycle_index=1, notes=["best effort"])
+    path = tmp_path / "valid-plan.json"
+    save_plan(plan, path, provenance={"slope_mode": "fitted", "pairs": ["pair00"]})
+    return json.loads(path.read_text())
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _check_load_save(tmp_path, doc, load, save):
+    """load either refuses doc with a ResotrimError or returns something that
+    saves, and reloads to the same bytes."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        loaded = load(path)
+    except ResotrimError:
+        return
+    save(loaded, path)
+    first = path.read_bytes()
+    save(load(path), path)
+    assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("kind", ["registry", "plan"])
+def test_loaders_refuse_or_round_trip_any_field_value(tmp_path, kind):
+    if kind == "registry":
+        valid, load, save = _valid_registry_doc(tmp_path), load_registry, save_registry
+    else:
+        valid, load = _valid_plan_doc(tmp_path), load_plan
+
+        def save(loaded, path):
+            plan, provenance = loaded
+            save_plan(plan, path, provenance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_field_paths(valid), key=repr)), json_values)
+    def replace_one_field(path, value):
+        _check_load_save(tmp_path, _replaced(valid, path, value), load, save)
+
+    replace_one_field()
