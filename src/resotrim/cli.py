@@ -6,40 +6,24 @@ so a failed ``apply`` leaves the file untouched. The default registry
 path can be set via the RESOTRIM_REGISTRY environment variable.
 """
 
-import csv
-import functools
 import json
 import sys
 
 import click
 
 from . import planner, readout, registry, transmon
-from .errors import ResotrimError, ValidationError
+from .errors import ValidationError, reports_errors
 from .fitting import fit_pair, initial_guess, correct_baseline
 from .pairmodel import eigenmodes, matching_figure
 
 REGISTRY_ENVVAR = "RESOTRIM_REGISTRY"
+MATCH_TOLERANCE_HZ = 5e6  # largest |f_P - f_R| that ``report`` marks as matched
 
 registry_option = click.option(
     "--registry", "registry_path", required=True, envvar=REGISTRY_ENVVAR,
     type=click.Path(exists=True, dir_okay=False),
     help="Device registry JSON (env: RESOTRIM_REGISTRY).",
 )
-
-
-def reports_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ResotrimError as exc:
-            click.echo(f"{exc.category}: {exc}", err=True)
-            if isinstance(exc, ValidationError):
-                for p in exc.paths:
-                    click.echo(f"  {p}", err=True)
-            sys.exit(2)
-
-    return wrapper
 
 
 @click.group()
@@ -61,29 +45,11 @@ def fit_cmd(trace_path, model, registry_path, pair_id, no_baseline):
     if not no_baseline:
         trace = correct_baseline(trace)
     result = fit_pair(trace, initial_guess(trace), model=model)
-    doc = result.as_dict()
-    doc["trace"] = trace_path
-    doc["trace_warnings"] = list(trace.warnings)
+    doc = {**result.as_dict(), "trace": trace_path, "trace_warnings": list(trace.warnings)}
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
     if registry_path and pair_id:
         reg = registry.load_registry(registry_path)
-        if pair_id not in reg.pairs:
-            raise ValidationError(f"unknown pair {pair_id!r}")
-        # a fit that did not converge is only recorded, never used
-        if result.converged:
-            link = reg.pairs[pair_id]
-            link.j = result.params.j
-            link.kappa = result.params.kappa
-            link.gamma_r = result.params.gamma_r
-            link.gamma_p = result.params.gamma_p
-            link.kappa_drive = result.params.kappa_drive
-            reg.resonators[link.readout].f_meas = result.params.f_r
-            reg.resonators[link.purcell].f_meas = result.params.f_p
-        reg.history.append(
-            {"event": "fit", "pair": pair_id, "trace": trace_path,
-             "model": model, "converged": result.converged,
-             "f_r_hz": result.params.f_r, "f_p_hz": result.params.f_p}
-        )
+        reg.record_fit(pair_id, trace_path, model, result)
         registry.save_registry(reg, registry_path)
     if not result.converged:
         sys.exit(3)
@@ -174,17 +140,7 @@ def apply_cmd(registry_path, plan_path, nu_true):
     """Apply a trim plan to the registry (optionally simulating outcomes)."""
     reg = registry.load_registry(registry_path)
     plan, provenance = registry.load_plan(plan_path)
-    plan_sha256 = registry.plan_sha256(plan, provenance)
-    cycle = reg.apply_cycle(plan, plan_sha256)
-    realized = None if nu_true is None else planner.simulate_outcomes(
-        reg.resonators.values(), plan, nu_true)
-    reg.resonators, trims = planner.apply_plan(reg.resonators.values(), plan, realized)
-    reg.history.append(
-        {"event": "apply", "cycle_index": cycle, "plan": plan_path,
-         "plan_sha256": plan_sha256, "simulated": nu_true is not None,
-         "nu_rho_true_m_per_s": nu_true, "provenance": provenance,
-         "actions": [registry.trim_to_doc(t) for t in trims]}
-    )
+    cycle, trims = reg.record_apply(plan, provenance, plan_path, nu_true)
     registry.save_registry(reg, registry_path)
     click.echo(json.dumps({"applied": len(trims), "cycle_index": cycle}, sort_keys=True))
 
@@ -196,15 +152,9 @@ def apply_cmd(registry_path, plan_path, nu_true):
 def fit_nu_rho_cmd(registry_path, cycle_index):
     """Fit the phase velocity from the re-measured shifts of one trim cycle."""
     reg = registry.load_registry(registry_path)
-    samples = planner.velocity_samples(*reg.cycle_outcome(cycle_index))
-    nu_rho, resid = planner.fit_nu_rho(samples)
-    record = {"event": "fit-nu-rho", "cycle_index": cycle_index,
-              "nu_rho_m_per_s": nu_rho, "residual_rms_hz": resid,
-              "n_samples": len(samples)}
-    reg.history.append(record)
+    fitted = reg.record_fit_nu_rho(cycle_index)
     registry.save_registry(reg, registry_path)
-    click.echo(json.dumps({k: v for k, v in record.items() if k != "event"},
-                          indent=2, sort_keys=True))
+    click.echo(json.dumps(fitted, indent=2, sort_keys=True))
 
 
 @main.group("simulate")
@@ -218,31 +168,13 @@ def simulate_group():
 @reports_errors
 def simulate_anneal_cmd(config_path, out_path):
     """Run the closed-loop anneal simulator against a response model."""
-    with open(config_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        config = transmon.AnnealConfig(
-            r_start=float(doc["r_start_ohm"]),
-            r_target=float(doc["r_target_ohm"]),
-            exposure_threshold=float(doc["exposure_threshold_s"]),
-            power_schedule=[float(p) for p in doc["power_schedule_w"]],
-            initial_exposure=float(doc.get("initial_exposure_s", 1.0)),
-            exposure_growth=float(doc.get("exposure_growth", 2.0)),
-        )
-        coeffs = {float(k): (float(v[0]), float(v[1]))
-                  for k, v in doc["response"]["coeffs"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad anneal config: {exc}") from exc
-    trace = transmon.anneal_closed_loop(config, transmon.LogAnnealResponse(coeffs))
-    rows = [(i + 1, p, t, r) for i, (p, t, r) in enumerate(trace.history)]
+    trace = transmon.anneal_closed_loop(*registry.load_anneal_config(config_path))
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cycle", "power_w", "exposure_s", "r_over_r0"])
-            writer.writerows(rows)
+        registry.save_anneal_trace(trace, out_path)
+    ratios = trace.resistances()
     click.echo(json.dumps(
-        {"status": trace.status, "cycles": len(rows),
-         "final_r_over_r0": rows[-1][3] if rows else 1.0},
+        {"status": trace.status, "cycles": len(ratios),
+         "final_r_over_r0": ratios[-1] if ratios else 1.0},
         indent=2, sort_keys=True))
     if trace.status != "success":
         sys.exit(4)
@@ -256,23 +188,9 @@ def simulate_anneal_cmd(config_path, out_path):
 @reports_errors
 def simulate_readout_cmd(model_path, n_per_state, seed, out_path):
     """Generate single-shot IQ outcomes and print the benchmarks."""
-    with open(model_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        model = readout.BlobModel(
-            mean0=tuple(doc["mean0"]), mean1=tuple(doc["mean1"]),
-            sigma=float(doc["sigma"]), leak_prob=float(doc.get("leak_prob", 0.0)),
-            mean2=tuple(doc["mean2"]) if "mean2" in doc else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad blob model: {exc}") from exc
-    shots = readout.synth_shots(model, n_per_state, seed)
+    shots = readout.synth_shots(registry.load_blob_model(model_path), n_per_state, seed)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "i", "q"])
-            for lbl, i, q in zip(shots.labels, shots.i, shots.q):
-                writer.writerow([int(lbl), repr(float(i)), repr(float(q))])
+        registry.save_shots(shots, out_path)
     bench = readout.assignment_fidelity(shots)
     click.echo(json.dumps(
         {"f_ro": bench.f_ro, "eps_ro": bench.eps_ro,
@@ -281,22 +199,16 @@ def simulate_readout_cmd(model_path, n_per_state, seed, out_path):
         indent=2, sort_keys=True))
 
 
-def pair_report(reg, match_tolerance=5e6):
+def pair_report(reg):
     """Per-pair summary rows used by the ``report`` command."""
     rows = []
     for pid in sorted(reg.pairs):
         link = reg.pairs[pid]
-        r = reg.resonators[link.readout]
-        p = reg.resonators[link.purcell]
-        row = {
-            "pair": pid,
-            "f_r_hz": r.f_meas,
-            "f_p_hz": p.f_meas,
-            "delta_pr_hz": p.f_meas - r.f_meas,
-            "shoelaces_remaining": {
-                r.id: r.shoelaces.remaining, p.id: p.shoelaces.remaining},
-            "ok": abs(p.f_meas - r.f_meas) <= match_tolerance,
-        }
+        r, p = _pair_records(reg, link)
+        row = {"pair": pid, "f_r_hz": r.f_meas, "f_p_hz": p.f_meas,
+               "delta_pr_hz": p.f_meas - r.f_meas,
+               "shoelaces_remaining": {r.id: r.shoelaces.remaining, p.id: p.shoelaces.remaining},
+               "ok": abs(p.f_meas - r.f_meas) <= MATCH_TOLERANCE_HZ}
         if link.j is not None and link.kappa is not None:
             low, high = eigenmodes(link.pair_params(r.f_meas, p.f_meas), "ground")
             row["kappa_eff_low_hz"] = low.kappa_eff
@@ -319,9 +231,8 @@ def report_cmd(registry_path, as_json):
     if as_json:
         click.echo(json.dumps(rows, indent=2, sort_keys=True))
         return
-    header = (f"{'pair':8} {'f_R (GHz)':>11} {'f_P (GHz)':>11} {'dPR (MHz)':>10} "
-              f"{'keff lo/hi (MHz)':>18} {'match lo/hi':>12} {'laces':>6} {'ok':>3}")
-    click.echo(header)
+    click.echo(f"{'pair':8} {'f_R (GHz)':>11} {'f_P (GHz)':>11} {'dPR (MHz)':>10} "
+               f"{'keff lo/hi (MHz)':>18} {'match lo/hi':>12} {'laces':>6} {'ok':>3}")
     for row in rows:
         keff = match = "-"
         if "kappa_eff_low_hz" in row:

@@ -1,12 +1,33 @@
 """Exception hierarchy for the resotrim toolkit.
 
-Every error carries a short machine-readable ``category`` slug used by the
-CLI for stderr reporting and exit-status semantics.
+Every error carries a short machine-readable ``category`` slug. A command
+wrapped in :func:`reports_errors` turns a raised error into its report on
+stderr (``category: message``, then the lines that locate the fault) and
+exit status 2.
 """
+
+import functools
+import sys
 
 
 class ResotrimError(Exception):
     category = "error"
+    details = ()  # the lines under ``category: message`` that locate the fault
+
+
+def reports_errors(fn):
+    """fn, with a ResotrimError it raises printed as its report and exit status 2."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ResotrimError as exc:
+            print("\n".join([f"{exc.category}: {exc}", *(f"  {d}" for d in exc.details)]),
+                  file=sys.stderr, flush=True)
+            sys.exit(2)
+
+    return wrapper
 
 
 class DomainError(ResotrimError):
@@ -51,6 +72,7 @@ class ParseError(ResotrimError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+        self.details = [] if line is None else [f"line {line}"]
 
 
 class ValidationError(ResotrimError):
@@ -58,7 +80,7 @@ class ValidationError(ResotrimError):
 
     def __init__(self, message, paths=()):
         super().__init__(message)
-        self.paths = list(paths)
+        self.details = self.paths = list(paths)
 
 
 class CutoffError(ResotrimError):

@@ -7,7 +7,7 @@ fitted in log space to stay positive.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,10 @@ __all__ = [
 ]
 
 MIN_FIT_POINTS = 16
+WING_FRACTION = 0.1  # share of the span at each end that correct_baseline takes as wing
+WING_SCATTER_LIMIT = 0.05  # relative wing |S21| scatter above which it attaches a warning
+MIN_DIP_DEPTH = 0.05  # least dip depth, 1 - |S21|, that seeds a mode in initial_guess
+COST_RTOL, GRAD_TOL = 1e-10, 1e-8  # fit_pair convergence thresholds
 
 
 @dataclass
@@ -73,15 +77,7 @@ class FitResult:
         }
 
 
-def _wing_mask(n, fraction=0.1):
-    k = max(2, int(round(n * fraction)))
-    mask = np.zeros(n, dtype=bool)
-    mask[:k] = True
-    mask[-k:] = True
-    return mask
-
-
-def correct_baseline(trace, wing_fraction=0.1, wing_variance_threshold=0.05):
+def correct_baseline(trace):
     """Remove electrical delay and constant complex gain.
 
     The outer wings of the span are assumed resonance-free: a linear
@@ -92,14 +88,14 @@ def correct_baseline(trace, wing_fraction=0.1, wing_variance_threshold=0.05):
     if len(trace) < 8:
         raise InvalidTraceError("too few points for baseline correction")
     f, z = trace.freqs, trace.values
-    k = max(2, int(round(len(f) * wing_fraction)))
+    k = max(2, int(round(len(f) * WING_FRACTION)))
     slopes = []
     for sl in (slice(0, k), slice(len(f) - k, None)):
         phase = np.unwrap(np.angle(z[sl]))
         slopes.append(np.polyfit(f[sl], phase, 1)[0])
     tau = -np.mean(slopes) / (2.0 * np.pi)
 
-    mask = _wing_mask(len(f), wing_fraction)
+    mask = np.r_[:k, len(f) - k:len(f)]  # both wings
     rotated = z * np.exp(2j * np.pi * f * tau)
     gain = float(np.mean(np.abs(z[mask])))
     phi0 = float(np.angle(np.mean(rotated[mask])))
@@ -107,15 +103,9 @@ def correct_baseline(trace, wing_fraction=0.1, wing_variance_threshold=0.05):
 
     warnings = list(trace.warnings)
     scatter = float(np.std(np.abs(z[mask])) / max(gain, 1e-300))
-    if scatter > wing_variance_threshold:
+    if scatter > WING_SCATTER_LIMIT:
         warnings.append("baseline-unreliable: wing amplitude variance above threshold")
-    return TransmissionTrace(
-        freqs=f.copy(),
-        values=z / background,
-        source=trace.source,
-        qubit_state=trace.qubit_state,
-        warnings=warnings,
-    )
+    return replace(trace, freqs=f.copy(), values=z / background, warnings=warnings)
 
 
 def _find_dips(x, min_prominence):
@@ -174,12 +164,7 @@ def _half_widths(x, peaks, prominences, left_bases, right_bases):
     return np.array(widths, dtype=float)
 
 
-def _dip_stats(f, depth, peaks, widths_pts):
-    df = float(np.mean(np.diff(f)))
-    return [(f[p], depth[p], w * df) for p, w in zip(peaks, widths_pts)]
-
-
-def initial_guess(trace, min_depth=0.05):
+def initial_guess(trace):
     """Seed pair parameters from the dips of |S21|.
 
     Up to two qualifying dips: similar widths seed a matched pair
@@ -192,24 +177,22 @@ def initial_guess(trace, min_depth=0.05):
         raise InvalidTraceError(f"need at least {MIN_FIT_POINTS} points")
     f = trace.freqs
     depth = 1.0 - np.abs(trace.values)
-    peaks, prominences, left_bases, right_bases = _find_dips(depth, min_depth)
+    peaks, prominences, left_bases, right_bases = _find_dips(depth, MIN_DIP_DEPTH)
     if len(peaks) == 0:
         raise NoResonanceError("no dip below the prominence threshold")
     # the two most prominent dips, in frequency order
     top = np.sort(np.argsort(prominences)[::-1][:2])
     widths_pts = _half_widths(depth, peaks[top], prominences[top],
                               left_bases[top], right_bases[top])
-    dips = _dip_stats(f, depth, peaks[top], widths_pts)
+    grid = float(np.mean(np.diff(f)))
+    dips = [(f[p], max(w * grid, grid)) for p, w in zip(peaks[top], widths_pts)]
 
     if len(dips) == 1:
-        f0, _, w = dips[0]
-        w = max(w, float(np.mean(np.diff(f))))
+        f0, w = dips[0]
         return PairParams(f_r=f0, f_p=f0, j=w / 4.0, kappa=w)
 
-    (f_lo, _, w_lo), (f_hi, _, w_hi) = dips
+    (f_lo, w_lo), (f_hi, w_hi) = dips
     splitting = f_hi - f_lo
-    grid = float(np.mean(np.diff(f)))
-    w_lo, w_hi = max(w_lo, grid), max(w_hi, grid)
     # The dips sit at the dressed mode frequencies, not the bare ones.
     # Each mode's linewidth is kappa times its Purcell weight, so the
     # width ratio encodes the mixing angle: invert it for the bare
@@ -278,32 +261,18 @@ def _guess_variants(guess):
     the splitting; a handful of restarts makes the damped loop robust to
     that without any stochastic machinery.
     """
-    out = [guess]
-    swapped = PairParams(
-        f_r=guess.f_p, f_p=guess.f_r, j=guess.j, kappa=guess.kappa,
-        gamma_r=guess.gamma_r, gamma_p=guess.gamma_p,
-        kappa_drive=guess.kappa_drive, chi=guess.chi,
-    )
-    out.append(swapped)
-    for base in (guess, swapped):
-        for jf, kf in ((0.5, 1.0), (2.0, 1.0), (1.0, 4.0), (0.4, 2.0)):
-            out.append(
-                PairParams(
-                    f_r=base.f_r, f_p=base.f_p, j=base.j * jf, kappa=base.kappa * kf,
-                    gamma_r=base.gamma_r, gamma_p=base.gamma_p,
-                    kappa_drive=base.kappa_drive, chi=base.chi,
-                )
-            )
-    return out
+    swapped = guess.with_frequencies(guess.f_p, guess.f_r)
+    return [guess, swapped] + [
+        replace(base, j=base.j * jf, kappa=base.kappa * kf) for base in (guess, swapped)
+        for jf, kf in ((0.5, 1.0), (2.0, 1.0), (1.0, 4.0), (0.4, 2.0))]
 
 
-def fit_pair(trace, guess, model="ideal", max_iter=500, cost_rtol=1e-10, grad_tol=1e-8,
-             restarts=True):
+def fit_pair(trace, guess, model="ideal", max_iter=500, restarts=True):
     """Damped least squares of the pair model against a corrected trace.
 
     Accepted steps never increase the cost. Convergence requires the
-    relative cost decrease below ``cost_rtol`` or the gradient inf-norm
-    below ``grad_tol`` on 3 consecutive iterations; otherwise the result
+    relative cost decrease below ``COST_RTOL`` or the gradient inf-norm
+    below ``GRAD_TOL`` on 3 consecutive iterations; otherwise the result
     comes back with ``converged=False`` rather than failing silently.
     With ``restarts`` the loop also runs from a few deterministic
     variants of the guess and the lowest final cost wins.
@@ -318,7 +287,7 @@ def fit_pair(trace, guess, model="ideal", max_iter=500, cost_rtol=1e-10, grad_to
     starts = _guess_variants(guess) if restarts else [guess]
     best = None
     for start in starts:
-        fit = _lm_loop(start, f, z, names, max_iter, cost_rtol, grad_tol)
+        fit = _lm_loop(start, f, z, names, max_iter)
         if best is None or fit[3] < best[3]:
             best = fit
         if best[3] <= 1e-24 * len(f) and best[4]:
@@ -348,7 +317,7 @@ def fit_pair(trace, guess, model="ideal", max_iter=500, cost_rtol=1e-10, grad_to
     )
 
 
-def _lm_loop(guess, f, z, names, max_iter, cost_rtol, grad_tol):
+def _lm_loop(guess, f, z, names, max_iter):
     # resonances must stay near the measured span; a frequency walking
     # far outside it degenerates the model into a single resonator
     span = f[-1] - f[0]
@@ -387,7 +356,7 @@ def _lm_loop(guess, f, z, names, max_iter, cost_rtol, grad_tol):
         decrease = (cost - cost_t) / max(cost, 1e-300)
         theta, r, jac, cost = trial, r_t, jac_t, cost_t
         lam = max(lam / 3.0, 1e-12)
-        if decrease < cost_rtol or float(np.max(np.abs(grad))) < grad_tol:
+        if decrease < COST_RTOL or float(np.max(np.abs(grad))) < GRAD_TOL:
             streak += 1
             if streak >= 3:
                 converged = True

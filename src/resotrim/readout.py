@@ -67,11 +67,14 @@ def synth_shots(model, n_per_state, seed):
     """Deterministic Gaussian shot generator for the estimator tests."""
     if n_per_state < 1:
         raise DomainError("n_per_state must be at least 1")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     n = int(n_per_state)
     centers0 = np.tile(model.mean0, (n, 1))
     leaked1 = rng.random(n) < model.leak_prob
-    centers1 = np.tile(model.mean1, (n, 1))
+    # float centres: integer means would truncate mean2 when it is assigned below
+    centers1 = np.tile(np.asarray(model.mean1, dtype=float), (n, 1))
     if model.mean2 is not None:
         centers1[leaked1] = model.mean2
     pts = np.vstack([centers0, centers1]) + model.sigma * rng.standard_normal((2 * n, 2))

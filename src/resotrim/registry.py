@@ -1,16 +1,19 @@
-"""Device registry, trace files and plan files.
+"""Every file the toolkit reads or writes, and the registry's history entries.
 
 The registry is a version-tagged JSON document (canonical form: sorted
 keys, two-space indent, trailing newline) holding resonator and transmon
-records, pair wiring, feedline grouping and an append-only cycle history.
-Registry and plan documents are read through one set of field tables, at
-load and again before every save, and each bad field is reported by its
-path. Unknown fields are preserved through load/save round trips. Writes
-go to a temp file followed by an atomic rename.
+records, pair wiring, feedline grouping and an append-only cycle history,
+whose entries are built here next to the code that reads them back.
+Registry and plan documents, the anneal config and the blob model are read
+through one set of field tables (the first two also before every save), and
+each bad field is reported by its path. Unknown fields are preserved
+through registry load/save round trips. Traces, anneal histories and shots
+are CSV. Every write goes to a temp file followed by an atomic rename.
 """
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -23,13 +26,15 @@ import numpy as np
 from .errors import DomainError, ParseError, ValidationError
 from .fitting import TransmissionTrace
 from .pairmodel import PairParams
-from .planner import AppliedTrim, ResonatorRecord, ShoelaceArray, TrimAction, TrimPlan
-from .transmon import TRANSMON_RATIO_FLOOR
+from .planner import (AppliedTrim, ResonatorRecord, ShoelaceArray, TrimAction, TrimPlan,
+                      apply_plan, fit_nu_rho, simulate_outcomes, velocity_samples)
+from .readout import BlobModel
+from .transmon import TRANSMON_RATIO_FLOOR, AnnealConfig, LogAnnealResponse
 
 __all__ = [
     "SCHEMA_VERSION", "PLAN_VERSION", "PairLink", "TransmonEntry", "DeviceRegistry",
     "load_registry", "save_registry", "load_trace", "save_trace", "save_plan", "load_plan",
-    "plan_sha256", "trim_to_doc",
+    "load_anneal_config", "save_anneal_trace", "load_blob_model", "save_shots",
 ]
 
 SCHEMA_VERSION = 1
@@ -42,8 +47,9 @@ _REQUIRED = object()
 class _Field:
     """How one JSON value is read: ``test`` accepts it, ``expected`` names
     what it accepts (nothing is coerced), ``read`` converts an accepted
-    value other than null and ``item`` is the rule of a list's entries. An
-    absent key reads as ``default``; without one, the key is required."""
+    value other than null and ``item`` is the rule of a list's entries, or
+    a tuple of one rule per entry. An absent key reads as ``default``;
+    without one, the key is required."""
 
     test: object
     expected: str
@@ -72,11 +78,22 @@ def _list_of(item, default=_REQUIRED):
     return _Field(lambda v: isinstance(v, list), "a list", default, item=item)
 
 
+def _pair_of(first, second, expected):
+    """rule for a list of two entries, each with its own rule."""
+    return _Field(lambda v: isinstance(v, list) and len(v) == 2, expected, item=(first, second))
+
+
+def _map_of(item):
+    """rule for an object whose every value follows item."""
+    return lambda v: dict.fromkeys(v, item) if isinstance(v, dict) else _OBJECT
+
+
 _STR = _Field(lambda v: isinstance(v, str), "a string")
 _COUNT = _Field(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
                 "a non-negative integer")
 _BOOL = _Field(lambda v: isinstance(v, bool), "true or false")
 _OBJECT = _Field(lambda v: isinstance(v, dict), "an object")
+_FINITE = _number(lambda v: True, "a finite number")
 _POSITIVE = _number(lambda v: v > 0, "a positive finite number")
 _NON_NEGATIVE = _number(lambda v: v >= 0, "a non-negative finite number")
 _LOSS = replace(_NON_NEGATIVE, default=0.0)
@@ -95,9 +112,9 @@ _TRANSMON = {"id": _STR, "f_q_hz": _SET_POSITIVE, "e_j_hz": _SET_POSITIVE,
 _PAIR = {"id": _STR, "transmon": _or_null(_STR), "readout": _STR, "purcell": _STR,
          "feedline": _or_null(_STR),
          "j_hz": _or_null(_POSITIVE), "kappa_hz": _or_null(_POSITIVE),
-         "chi_hz": replace(_number(lambda v: True, "a finite number"), default=0.0),
+         "chi_hz": replace(_FINITE, default=0.0),
          "gamma_r_hz": _LOSS, "gamma_p_hz": _LOSS, "kappa_drive_hz": _LOSS}
-# the history entries that cycle_outcome and apply_cycle read back
+# the history entries that cycle_outcome and record_apply read back
 _EVENTS = {
     "fit": {"pair": _STR, "f_r_hz": _POSITIVE, "f_p_hz": _POSITIVE,
             "converged": replace(_BOOL, default=True)},
@@ -128,6 +145,18 @@ _PLAN = {"cycle_index": replace(_COUNT, default=0), "feasible": replace(_BOOL, d
          "objective_before_hz": _OBJECTIVE, "objective_after_hz": _OBJECTIVE,
          "notes": _list_of(_STR, ()), "actions": _list_of(_PLAN_ACTION, ()),
          "provenance": replace(_OBJECT, default={})}
+# simulate anneal: the AnnealConfig fields in order, with units, and the response
+# dR/R0 = c log(1 + t/t0) as power in W -> [c, t0_s]
+_ANNEAL = {"r_start_ohm": _POSITIVE, "r_target_ohm": _POSITIVE,
+           "exposure_threshold_s": _NON_NEGATIVE, "power_schedule_w": _list_of(_POSITIVE),
+           "initial_exposure_s": replace(_POSITIVE, default=1.0),
+           "exposure_growth": replace(_POSITIVE, default=2.0),
+           "response": {"coeffs": _map_of(_pair_of(_FINITE, _POSITIVE, "a list [c, t0_s]"))}}
+# simulate readout: the BlobModel fields
+_IQ = _pair_of(_FINITE, _FINITE, "a list [i, q]")
+_BLOBS = {"mean0": _IQ, "mean1": _IQ, "mean2": replace(_IQ, default=None), "sigma": _POSITIVE,
+          "leak_prob": replace(_number(lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+                               default=0.0)}
 
 # TransmonEntry field -> registry key
 _TRANSMON_KEYS = {"f_q": "f_q_hz", "alpha": "alpha_hz", "e_j": "e_j_hz", "e_c": "e_c_hz",
@@ -159,17 +188,21 @@ def _walk(path, value, rule, problems):
             else:
                 value[key] = sub.default
     elif rule.item is not None:
-        value = [_walk(f"{path}[{i}]", v, rule.item, problems) for i, v in enumerate(value)]
+        items = rule.item if isinstance(rule.item, tuple) else [rule.item] * len(value)
+        value = [_walk(f"{path}[{i}]", v, sub, problems)
+                 for i, (v, sub) in enumerate(zip(value, items))]
     elif value is not None and rule.read is not None:
         value = rule.read(value)
     return value
 
 
-def _read(doc, what, version, table):
-    """doc as table reads it; ValidationError listing every bad field."""
+def _read(doc, what, table, version=None):
+    """doc as table reads it; ValidationError listing every bad field.
+    Given a ``version``, the document must carry exactly that one."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    if not (_COUNT.test(doc.get("version")) and doc["version"] == version):
+    if version is not None and not (_COUNT.test(doc.get("version"))
+                                    and doc["version"] == version):
         raise ValidationError(f"unsupported {what} version {doc.get('version')!r}")
     problems = []
     values = _walk("", doc, table, problems)
@@ -216,11 +249,6 @@ class TransmonEntry:
 
 def _transmon_doc(t):
     return {"id": t.id, **{key: getattr(t, name) for name, key in _TRANSMON_KEYS.items()}}
-
-
-def trim_to_doc(trim):
-    """An :class:`AppliedTrim` as an action of an ``apply`` history entry."""
-    return {key: getattr(trim, name) for name, key in _TRIM_KEYS.items()}
 
 
 @dataclass
@@ -287,12 +315,31 @@ class DeviceRegistry:
         applied = [h["cycle_index"] for h in self.history if h.get("event") == "apply"]
         return (max(applied) + 1) if applied else 1
 
-    def apply_cycle(self, plan, plan_sha256):
-        """Cycle index under which a plan is applied.
+    def record_fit(self, pair_id, trace_path, model, result):
+        """Append the ``fit`` entry of a pair's :class:`FitResult`. Only a
+        converged fit also sets the pair's rates and resonator frequencies."""
+        link = self.pairs.get(pair_id)
+        if link is None:
+            raise ValidationError(f"unknown pair {pair_id!r}")
+        p = result.params
+        if result.converged:
+            link.j, link.kappa, link.gamma_r = p.j, p.kappa, p.gamma_r
+            link.gamma_p, link.kappa_drive = p.gamma_p, p.kappa_drive
+            self.resonators[link.readout].f_meas = p.f_r
+            self.resonators[link.purcell].f_meas = p.f_p
+        self.history.append({"event": "fit", "pair": pair_id, "trace": trace_path,
+                             "model": model, "converged": result.converged,
+                             "f_r_hz": p.f_r, "f_p_hz": p.f_p})
+
+    def record_apply(self, plan, provenance, plan_path, nu_true=None):
+        """Apply a plan as one trim cycle, append its ``apply`` entry and
+        return (cycle index, trims); ``nu_true`` (m/s) simulates the shifts.
 
         Refuses a plan whose hash is already in the history, and a plan
         made for a cycle that has since been applied.
         """
+        text = json.dumps(plan_to_doc(plan, provenance), sort_keys=True)
+        plan_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
         for h in self.history:
             if h.get("event") == "apply" and h.get("plan_sha256") == plan_sha256:
                 raise ValidationError(
@@ -305,7 +352,26 @@ class DeviceRegistry:
                 f"plan made for cycle {plan.cycle_index}, but cycle {next_cycle - 1} "
                 "is already applied; re-plan on the updated registry to trim again"
             )
-        return plan.cycle_index or next_cycle
+        cycle = plan.cycle_index or next_cycle
+        realized = None if nu_true is None else simulate_outcomes(
+            self.resonators.values(), plan, nu_true)
+        self.resonators, trims = apply_plan(self.resonators.values(), plan, realized)
+        self.history.append({"event": "apply", "cycle_index": cycle, "plan": plan_path,
+                             "plan_sha256": plan_sha256, "simulated": nu_true is not None,
+                             "nu_rho_true_m_per_s": nu_true, "provenance": provenance,
+                             "actions": [{key: getattr(t, name) for name, key in _TRIM_KEYS.items()}
+                                         for t in trims]})
+        return cycle, trims
+
+    def record_fit_nu_rho(self, cycle_index):
+        """Fit the phase velocity to one cycle's shifts, append the
+        ``fit-nu-rho`` entry and return its fields but the event."""
+        samples = velocity_samples(*self.cycle_outcome(cycle_index))
+        nu_rho, resid = fit_nu_rho(samples)
+        fitted = {"cycle_index": cycle_index, "nu_rho_m_per_s": nu_rho,
+                  "residual_rms_hz": resid, "n_samples": len(samples)}
+        self.history.append({"event": "fit-nu-rho", **fitted})
+        return fitted
 
     def cycle_outcome(self, cycle_index):
         """Trims applied in one cycle and the frequencies measured after them.
@@ -349,7 +415,7 @@ def _registry_to_doc(reg):
 
 
 def _doc_to_registry(doc):
-    values = _read(doc, "registry", SCHEMA_VERSION, _REGISTRY)
+    values = _read(doc, "registry", _REGISTRY, SCHEMA_VERSION)
     problems = []
     for kind in ("resonators", "transmons", "pairs"):
         ids = [entry["id"] for entry in values[kind]]
@@ -397,7 +463,7 @@ def _load_json(path):
         try:
             return json.load(fh)
         except ValueError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from exc
+            raise ParseError(f"not valid JSON: {exc}", line=getattr(exc, "lineno", None)) from exc
 
 
 def load_registry(path):
@@ -408,7 +474,7 @@ def _atomic_write(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".resotrim-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -434,21 +500,27 @@ def load_trace(path, source=None):
     Unsorted rows are sorted ascending with a warning flag attached;
     duplicate frequencies are a validation error.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != TRACE_HEADER:
             raise ParseError(f"expected header {','.join(TRACE_HEADER)}", line=1)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise ParseError(f"non-numeric field: {exc}", line=lineno) from exc
+                raise ParseError(f"expected 3 fields, got {len(row)}", line=reader.line_num)
+            rows.append((float(row[0]), float(row[1]), float(row[2])))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8: {exc.reason}", line=line) from exc
+    except ValueError as exc:
+        raise ParseError(f"non-numeric field: {exc}", line=reader.line_num) from exc
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV: {exc}", line=reader.line_num) from exc
     if not rows:
         raise ParseError("no data rows")
     arr = np.array(rows)
@@ -469,12 +541,18 @@ def load_trace(path, source=None):
     )
 
 
+def _save_csv(path, header, rows):
+    """Write a header and rows as CSV (``\\r\\n`` line ends) in one atomic write."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, text.getvalue())
+
+
 def save_trace(trace, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for f, z in zip(trace.freqs, trace.values):
-            writer.writerow([repr(float(f)), repr(float(z.real)), repr(float(z.imag))])
+    _save_csv(path, TRACE_HEADER, ([repr(float(f)), repr(float(z.real)), repr(float(z.imag))]
+                                   for f, z in zip(trace.freqs, trace.values)))
 
 
 def plan_to_doc(plan, provenance=None):
@@ -491,7 +569,7 @@ def plan_to_doc(plan, provenance=None):
 
 
 def _doc_to_plan(doc):
-    values = _read(doc, "plan", PLAN_VERSION, _PLAN)
+    values = _read(doc, "plan", _PLAN, PLAN_VERSION)
     plan = TrimPlan(
         actions=[TrimAction(**{key: a[key] for key in _PLAN_ACTION}) for a in values["actions"]],
         objective_before=values["objective_before_hz"],
@@ -510,11 +588,45 @@ def save_plan(plan, path, provenance=None):
     _atomic_write(path, text)
 
 
-def plan_sha256(plan, provenance=None):
-    """SHA-256 of the plan's canonical JSON; ``apply`` refuses a hash already in the history."""
-    text = json.dumps(plan_to_doc(plan, provenance), sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def load_plan(path):
     return _doc_to_plan(_load_json(path))
+
+
+def load_anneal_config(path):
+    """A ``simulate anneal`` config as (:class:`AnnealConfig`, :class:`LogAnnealResponse`);
+    each scheduled power needs coefficients, keyed by the power written as a number."""
+    values = _read(_load_json(path), "anneal config", _ANNEAL)
+    coeffs, problems = {}, []
+    for key, (c, t0) in values["response"]["coeffs"].items():
+        try:
+            power = float(key)
+        except ValueError:
+            power = math.nan
+        if not math.isfinite(power):
+            problems.append(f"response.coeffs.{key}: expected a power in W, got {key!r}")
+        coeffs[power] = (c, t0)
+    problems += [f"power_schedule_w[{i}]: no response.coeffs for {p!r} W"
+                 for i, p in enumerate(values["power_schedule_w"]) if p not in coeffs]
+    if problems:
+        raise ValidationError("anneal config schema violation", paths=problems)
+    config = AnnealConfig(*(values[key] for key in _ANNEAL if key != "response"))
+    return config, LogAnnealResponse(coeffs)
+
+
+def save_anneal_trace(trace, path):
+    """An :class:`AnnealTrace` as CSV: cycle,power_w,exposure_s,r_over_r0."""
+    _save_csv(path, ["cycle", "power_w", "exposure_s", "r_over_r0"],
+              ((i, p, t, r) for i, (p, t, r) in enumerate(trace.history, start=1)))
+
+
+def load_blob_model(path):
+    """A ``simulate readout`` model as a :class:`BlobModel`."""
+    values = _read(_load_json(path), "blob model", _BLOBS)
+    means = {k: tuple(values[k]) for k in ("mean0", "mean1", "mean2") if values[k] is not None}
+    return BlobModel(sigma=values["sigma"], leak_prob=values["leak_prob"], **means)
+
+
+def save_shots(shots, path):
+    """A :class:`ShotSet` as CSV: label,i,q."""
+    _save_csv(path, ["label", "i", "q"], ([int(lbl), repr(float(i)), repr(float(q))]
+                                          for lbl, i, q in zip(shots.labels, shots.i, shots.q)))

@@ -27,9 +27,11 @@ __all__ = [
 
 DEFAULT_CUTOFF = 30
 TRANSMON_RATIO_FLOOR = 20.0
+EDGE_POPULATION_TOL = 1e-10  # largest third-level population at the charge-basis edge
+INVERSION_TOL_HZ = 1e3  # largest f_q and alpha residuals of invert_spectroscopy
 
 
-def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF, population_tol=1e-10):
+def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF):
     """Qubit frequency and anharmonicity from charge-basis diagonalization.
 
     The Hamiltonian is diagonal 4 E_c n^2 with off-diagonal -E_J/2 over
@@ -49,7 +51,7 @@ def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF, population_tol=1e-10):
     off = np.full(len(n) - 1, -e_j / 2.0)
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))
     edge = np.abs(vecs[0, 2]) ** 2 + np.abs(vecs[-1, 2]) ** 2
-    if edge > population_tol:
+    if edge > EDGE_POPULATION_TOL:
         raise CutoffError(
             f"cutoff {cutoff} too small: edge population {edge:.2e}; increase it"
         )
@@ -63,13 +65,12 @@ def asymptotic_fq(e_j, e_c):
     return math.sqrt(8.0 * e_j * e_c) - e_c
 
 
-def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF, tol=1e3,
-                        ratio_floor=TRANSMON_RATIO_FLOOR):
+def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF):
     """Recover (e_j, e_c) from measured (f_q, alpha), both in Hz.
 
     Two-dimensional root finding on :func:`transmon_spectrum` seeded by
     the closed-form estimates e_c = -alpha, e_j = (f_q - alpha)^2 /
-    (-8 alpha); converged when both residuals are below ``tol`` (1 kHz).
+    (-8 alpha); converged when both residuals are below ``INVERSION_TOL_HZ``.
     """
     if not (f_q > 0 > alpha):
         raise DomainError("need f_q > 0 and alpha < 0")
@@ -80,9 +81,9 @@ def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF, tol=1e3,
     # the closed-form seed underestimates the true ratio near the floor,
     # so only clearly non-transmon inputs are rejected up front; the
     # converged solution is checked against the exact floor below
-    if e_j0 / e_c0 < 0.5 * ratio_floor:
+    if e_j0 / e_c0 < 0.5 * TRANSMON_RATIO_FLOOR:
         raise InversionError(
-            f"seed ratio {e_j0 / e_c0:.1f} far below transmon floor {ratio_floor}; "
+            f"seed ratio {e_j0 / e_c0:.1f} far below transmon floor {TRANSMON_RATIO_FLOOR}; "
             "no transmon-regime solution"
         )
 
@@ -99,11 +100,11 @@ def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF, tol=1e3,
     sol = root(residual, [math.log(e_j0), math.log(e_c0)], method="hybr")
     e_j, e_c = math.exp(sol.x[0]), math.exp(sol.x[1])
     res = residual(sol.x)
-    if max(abs(res[0]), abs(res[1])) > tol:
+    if max(abs(res[0]), abs(res[1])) > INVERSION_TOL_HZ:
         raise InversionError(
-            f"inversion residuals {res[0]:.1f}, {res[1]:.1f} Hz above {tol:.0f} Hz"
+            f"inversion residuals {res[0]:.1f}, {res[1]:.1f} Hz above {INVERSION_TOL_HZ:.0f} Hz"
         )
-    if e_j / e_c < ratio_floor:
+    if e_j / e_c < TRANSMON_RATIO_FLOOR:
         raise InversionError(f"solution ratio {e_j / e_c:.1f} below transmon floor")
     return e_j, e_c
 

@@ -623,6 +623,75 @@ class TestSimulate:
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 
+ANNEAL_CONFIG = {"r_start_ohm": 6000.0, "r_target_ohm": 6120.0, "exposure_threshold_s": 3600.0,
+                 "power_schedule_w": [0.17, 0.2],
+                 "response": {"coeffs": {"0.17": [0.001, 1.0], "0.2": [0.02, 1.0]}}}
+BLOB_MODEL = {"mean0": [0.0, 0.0], "mean1": [4.0, 0.0], "sigma": 1.0}
+TRACE_HEAD = b"frequency_hz,re_s21,im_s21\n7.0e9,1.0,0.0\n"
+
+
+def _anneal(**fields):
+    """ANNEAL_CONFIG with fields set, as file bytes; ``coeffs`` replaces the response."""
+    coeffs = fields.pop("coeffs", ANNEAL_CONFIG["response"]["coeffs"])
+    return json.dumps({**ANNEAL_CONFIG, "response": {"coeffs": coeffs}, **fields}).encode()
+
+
+def _blobs(**fields):
+    return json.dumps({**BLOB_MODEL, **fields}).encode()
+
+
+ANNEAL = ["simulate", "anneal", "--config", "{input}", "--out", "{out}"]
+READOUT = ["simulate", "readout", "--model", "{input}", "--n", "10", "--seed", "1",
+           "--out", "{out}"]
+FIT = ["fit", "--trace", "{input}"]
+# name -> (command, input file bytes, error category, the bad field's path, its
+# "line N", or a word of the message when there is no file to point into)
+BAD_INPUT_FILES = {
+    "anneal-invalid-json": (ANNEAL, b"{nope", "parse", "line 1"),
+    "anneal-scheduled-power-without-coeffs": (
+        ANNEAL, _anneal(power_schedule_w=[0.17, 0.3]), "validation", "power_schedule_w[1]"),
+    "anneal-t0-zero": (ANNEAL, _anneal(coeffs={"0.17": [0.001, 0], "0.2": [0.02, 1.0]}),
+                       "validation", "response.coeffs.0.17[1]"),
+    "anneal-initial-exposure-negative": (ANNEAL, _anneal(initial_exposure_s=-1), "validation",
+                                         "initial_exposure_s"),
+    "anneal-one-element-coeffs": (ANNEAL, _anneal(coeffs={"0.17": [0.001], "0.2": [0.02, 1.0]}),
+                                  "validation", "response.coeffs.0.17"),
+    "anneal-r-start-nan": (ANNEAL, _anneal(r_start_ohm=float("nan")), "validation", "r_start_ohm"),
+    "anneal-coeff-key-not-a-number": (
+        ANNEAL, _anneal(coeffs={"0.17": [0.001, 1.0], "0.2": [0.02, 1.0], "high": [0.1, 1.0]}),
+        "validation", "response.coeffs.high"),
+    "anneal-power-string": (ANNEAL, _anneal(power_schedule_w=["0.17"]), "validation",
+                            "power_schedule_w[0]"),
+    "readout-invalid-json": (READOUT, b"{nope", "parse", "line 1"),
+    "readout-mean0-string": (READOUT, _blobs(mean0="ab"), "validation", "mean0"),
+    "readout-mean0-three-entries": (READOUT, _blobs(mean0=[0.0, 0.0, 0.0]), "validation", "mean0"),
+    "readout-sigma-nan": (READOUT, _blobs(sigma=float("nan")), "validation", "sigma"),
+    "readout-sigma-string": (READOUT, _blobs(sigma="1"), "validation", "sigma"),
+    "readout-negative-seed": ([*READOUT[:-3], "-1", *READOUT[-2:]], _blobs(), "domain", "seed"),
+    "trace-not-utf8": (FIT, TRACE_HEAD + b"7.1e9,\xff,0.0\n", "parse", "line 3"),
+    "trace-field-over-limit": (FIT, TRACE_HEAD + b"7.1e9," + b"1" * 131073 + b",0.0\n", "parse",
+                               "line 3"),
+    "trace-non-numeric-line-3": (FIT, TRACE_HEAD + b"7.1e9,x,0.0\n", "parse", "line 3"),
+}
+
+
+@pytest.mark.parametrize("command, content, category, where", BAD_INPUT_FILES.values(),
+                         ids=BAD_INPUT_FILES)
+def test_bad_input_file_is_reported_by_path_or_line(runner, tmp_path, command, content,
+                                                   category, where):
+    in_path, out_path = tmp_path / "input", tmp_path / "out.csv"
+    in_path.write_bytes(content)
+    args = [a.format(input=in_path, out=out_path) for a in command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    first, *details = result.stderr.splitlines()
+    assert first.startswith(f"{category}: ")
+    locators = [line.strip().split(":")[0] for line in details]
+    assert where in locators or (not details and where in first), result.stderr
+    assert "Traceback" not in result.output
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("module", ["resotrim", "resotrim.cli"])
 def test_import_loads_no_scipy(module):
     # scipy takes about a second to import; only transmon loads it, on first use

@@ -29,6 +29,17 @@ class TestSynthShots:
         b = synth_shots(model, 500, seed=3)
         assert np.array_equal(a.i, b.i) and np.array_equal(a.q, b.q)
 
+    def test_negative_seed_is_a_domain_error(self):
+        model = BlobModel(mean0=(0.0, 0.0), mean1=(4.0, 0.0), sigma=1.0)
+        with pytest.raises(DomainError, match="seed"):
+            synth_shots(model, 10, seed=-1)
+
+    def test_integer_means_keep_a_fractional_leakage_blob(self):
+        model = BlobModel(mean0=(0, 0), mean1=(4, 0), sigma=1e-9, leak_prob=0.5, mean2=(2.5, 1.5))
+        shots = synth_shots(model, 200, seed=1)
+        assert shots.leaked.any()
+        assert np.allclose(shots.i[shots.leaked], 2.5) and np.allclose(shots.q[shots.leaked], 1.5)
+
     def test_tiny_sigma_pins_shots_to_means(self):
         model = BlobModel(mean0=(0.0, 0.0), mean1=(4.0, 1.0), sigma=1e-12)
         shots = synth_shots(model, 100, seed=0)

@@ -1,5 +1,6 @@
 """Registry, trace-file, and plan-file round-trip tests."""
 
+import functools
 import json
 import math
 
@@ -16,18 +17,24 @@ from resotrim.planner import (
     TrimAction,
     TrimPlan,
 )
+from resotrim.readout import synth_shots
 from resotrim.registry import (
     DeviceRegistry,
     PairLink,
     TransmonEntry,
     dumps_registry,
+    load_anneal_config,
+    load_blob_model,
     load_plan,
     load_registry,
     load_trace,
+    save_anneal_trace,
     save_plan,
     save_registry,
+    save_shots,
     save_trace,
 )
+from resotrim.transmon import anneal_closed_loop
 
 
 def record(rid, role, f, remaining=10):
@@ -316,20 +323,68 @@ def _check_load_save(tmp_path, doc, load, save):
     assert path.read_bytes() == first
 
 
-@pytest.mark.parametrize("kind", ["registry", "plan"])
-def test_loaders_refuse_or_round_trip_any_field_value(tmp_path, kind):
-    if kind == "registry":
-        valid, load, save = _valid_registry_doc(tmp_path), load_registry, save_registry
-    else:
-        valid, load = _valid_plan_doc(tmp_path), load_plan
+def _check_load_run(tmp_path, doc, load, run):
+    """load and then run raise nothing but a ResotrimError."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        run(load(path), tmp_path / "out.csv")
+    except ResotrimError:
+        pass
 
-        def save(loaded, path):
-            plan, provenance = loaded
-            save_plan(plan, path, provenance)
+
+def _save_plan(loaded, path):
+    plan, provenance = loaded
+    save_plan(plan, path, provenance)
+
+
+def _anneal(loaded, out):
+    save_anneal_trace(anneal_closed_loop(*loaded), out)
+
+
+def _readout(model, out):
+    save_shots(synth_shots(model, 3, seed=0), out)
+
+
+VALID_ANNEAL = {"r_start_ohm": 6000.0, "r_target_ohm": 6120.0, "exposure_threshold_s": 3600.0,
+                "power_schedule_w": [0.17, 0.2], "initial_exposure_s": 1.0, "exposure_growth": 2.0,
+                "response": {"coeffs": {"0.17": [0.001, 1.0], "0.2": [0.02, 1.0]}}}
+VALID_BLOBS = {"mean0": [0.0, 0.0], "mean1": [4.0, 0.5], "mean2": [2.0, 3.0], "sigma": 0.7,
+               "leak_prob": 0.1}
+
+
+@pytest.mark.parametrize("kind", ["registry", "plan", "anneal", "blobs"])
+def test_loaders_refuse_or_round_trip_any_field_value(tmp_path, kind):
+    valid, check = {
+        "registry": (_valid_registry_doc(tmp_path), functools.partial(
+            _check_load_save, load=load_registry, save=save_registry)),
+        "plan": (_valid_plan_doc(tmp_path), functools.partial(
+            _check_load_save, load=load_plan, save=_save_plan)),
+        "anneal": (VALID_ANNEAL, functools.partial(
+            _check_load_run, load=load_anneal_config, run=_anneal)),
+        "blobs": (VALID_BLOBS, functools.partial(
+            _check_load_run, load=load_blob_model, run=_readout)),
+    }[kind]
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(_field_paths(valid), key=repr)), json_values)
     def replace_one_field(path, value):
-        _check_load_save(tmp_path, _replaced(valid, path, value), load, save)
+        check(tmp_path, _replaced(valid, path, value))
 
     replace_one_field()
+
+
+def test_load_trace_refuses_any_bytes_with_a_resotrim_error(tmp_path):
+    path = tmp_path / "trace.csv"
+    csv_like = st.text("0123456789.e-+,\n\r\" nanif", max_size=60).map(str.encode)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.binary(max_size=60) | csv_like)
+    def load_after_header(rows):
+        path.write_bytes(b"frequency_hz,re_s21,im_s21\n" + rows)
+        try:
+            load_trace(path)
+        except ResotrimError:
+            pass
+
+    load_after_header()
