@@ -36,7 +36,6 @@ class TransmissionTrace:
     freqs: np.ndarray
     values: np.ndarray
     source: str = ""
-    qubit_state: str | None = None
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):

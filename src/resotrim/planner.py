@@ -173,13 +173,16 @@ def _closest_count(landing, target, remaining):
     """Count in [0, remaining] whose landing(n) is closest to target.
 
     Ties, within 1e-12 of the starting distance, keep fewer removals.
+    Landings only fall with n, so the scan ends at the first one at or below target.
     """
     best_n, best_err = 0, abs(landing(0) - target)
     tol = 1e-12 * max(1.0, best_err)
     for n in range(1, remaining + 1):
-        err = abs(landing(n) - target)
-        if err < best_err - tol:
-            best_n, best_err = n, err
+        miss = landing(n) - target
+        if abs(miss) < best_err - tol:
+            best_n, best_err = n, abs(miss)
+        if miss <= 0:
+            break
     return best_n
 
 
@@ -364,7 +367,7 @@ def fit_nu_rho(samples):
     usable = [(f0, dl, df) for f0, dl, df in samples if dl > 0]
     if not usable:
         raise UnderdeterminedError("need at least one sample with delta_l > 0")
-    a = np.array([-4.0 * f0**2 * dl for f0, dl, _ in usable])
+    a = np.array([freq_shift(f0, 1.0, dl) for f0, dl, _ in usable])
     y = np.array([df for _, _, df in usable])
     inv_nu = float(a @ y / (a @ a))
     if inv_nu <= 0:

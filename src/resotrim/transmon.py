@@ -29,35 +29,31 @@ DEFAULT_CUTOFF = 30
 TRANSMON_RATIO_FLOOR = 20.0
 EDGE_POPULATION_TOL = 1e-10  # largest third-level population at the charge-basis edge
 INVERSION_TOL_HZ = 1e3  # largest f_q and alpha residuals of invert_spectroscopy
+NEWTON_DX = 1e-8  # forward-difference step in log energy
+NEWTON_STEP_TOL = 1e-10  # Newton stops once a step moves no log energy by more than this
+NEWTON_MAX_STEPS = 50
 
 
 def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF):
     """Qubit frequency and anharmonicity from charge-basis diagonalization.
 
     The Hamiltonian is diagonal 4 E_c n^2 with off-diagonal -E_J/2 over
-    n in [-cutoff, cutoff]. Returns (f_q, alpha) in Hz. Raises
-    CutoffError when the third level still has weight at the basis edge.
+    n in [-cutoff, cutoff]. It is even in n, so its even block over n >= 0
+    holds levels 0 and 2 and its odd block level 1. Returns (f_q, alpha)
+    in Hz. Raises CutoffError when level 2 has weight at the basis edge.
     """
-    if e_j <= 0 or e_c <= 0:
-        raise DomainError("e_j and e_c must be positive")
+    if not (0 < e_j < math.inf and 0 < e_c < math.inf):
+        raise DomainError("e_j and e_c must be positive and finite")
     if cutoff < 10:
         raise DomainError("cutoff must be at least 10")
-    # scipy is imported on first use: importing it costs about a second,
-    # which every CLI command would pay at start-up
-    from scipy.linalg import eigh_tridiagonal
-
-    n = np.arange(-cutoff, cutoff + 1)
-    diag = 4.0 * e_c * n.astype(float) ** 2
-    off = np.full(len(n) - 1, -e_j / 2.0)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))
-    edge = np.abs(vecs[0, 2]) ** 2 + np.abs(vecs[-1, 2]) ** 2
+    even = np.diag(4.0 * e_c * np.arange(cutoff + 1.0) ** 2) + np.diag([-e_j / 2.0] * cutoff, 1)
+    even[0, 1] *= math.sqrt(2.0)  # n = 0 couples to (|1> + |-1>)/sqrt(2)
+    vals, vecs = np.linalg.eigh(even, UPLO="U")
+    odd = np.linalg.eigvalsh(even[1:, 1:], UPLO="U")
+    edge = vecs[-1, 1] ** 2  # the even vector's last entry is shared by n = +-cutoff
     if edge > EDGE_POPULATION_TOL:
-        raise CutoffError(
-            f"cutoff {cutoff} too small: edge population {edge:.2e}; increase it"
-        )
-    f_q = float(vals[1] - vals[0])
-    alpha = float(vals[2] - 2.0 * vals[1] + vals[0])
-    return f_q, alpha
+        raise CutoffError(f"cutoff {cutoff} too small: edge population {edge:.2e}; increase it")
+    return float(odd[0] - vals[0]), float(vals[1] - 2.0 * odd[0] + vals[0])
 
 
 def asymptotic_fq(e_j, e_c):
@@ -65,45 +61,60 @@ def asymptotic_fq(e_j, e_c):
     return math.sqrt(8.0 * e_j * e_c) - e_c
 
 
+def _ej_seed(f_q, e_c):
+    """E_J at which :func:`asymptotic_fq` equals f_q."""
+    return (f_q + e_c) ** 2 / (8.0 * e_c)
+
+
+def _newton(residual, energies):
+    """(energies, residuals) where ``residual`` vanishes, by Newton on log energies.
+
+    The Jacobian is a forward difference. A singular Jacobian, a
+    non-finite step, a spectrum outside its domain or cutoff, and no
+    convergence within NEWTON_MAX_STEPS are each an InversionError.
+    """
+    x, step = np.log(energies), np.inf
+    try:
+        for _ in range(NEWTON_MAX_STEPS):
+            r = np.array(residual(*map(math.exp, x)))
+            if np.max(np.abs(step)) <= NEWTON_STEP_TOL:
+                return list(map(math.exp, x)), r
+            jac = np.column_stack([np.array(residual(*map(math.exp, x + NEWTON_DX * e))) - r
+                                   for e in np.eye(len(x))]) / NEWTON_DX
+            step = np.linalg.solve(jac, -r)
+            if not np.all(np.isfinite(step)):
+                raise InversionError("non-finite Newton step")
+            x = x + step
+    except (CutoffError, DomainError, OverflowError, np.linalg.LinAlgError) as exc:
+        raise InversionError(f"no transmon solution from {energies}: {exc}") from exc
+    raise InversionError(f"no convergence in {NEWTON_MAX_STEPS} Newton steps")
+
+
 def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF):
     """Recover (e_j, e_c) from measured (f_q, alpha), both in Hz.
 
-    Two-dimensional root finding on :func:`transmon_spectrum` seeded by
-    the closed-form estimates e_c = -alpha, e_j = (f_q - alpha)^2 /
-    (-8 alpha); converged when both residuals are below ``INVERSION_TOL_HZ``.
+    Newton's method on :func:`transmon_spectrum` from the closed-form
+    seed e_c = -alpha, e_j = _ej_seed(f_q, -alpha); both residuals must
+    end below ``INVERSION_TOL_HZ``.
     """
-    if not (f_q > 0 > alpha):
-        raise DomainError("need f_q > 0 and alpha < 0")
-    if -alpha >= f_q:
-        raise DomainError("|alpha| must be below f_q")
+    if not (f_q > -alpha > 0):
+        raise DomainError("need alpha < 0 and |alpha| below f_q")
     e_c0 = -alpha
-    e_j0 = (f_q - alpha) ** 2 / (-8.0 * alpha)
-    # the closed-form seed underestimates the true ratio near the floor,
-    # so only clearly non-transmon inputs are rejected up front; the
-    # converged solution is checked against the exact floor below
+    e_j0 = _ej_seed(f_q, e_c0)
+    # the seed underestimates the true ratio near the floor, so only clearly
+    # non-transmon inputs are rejected here; the solution meets the exact floor below
     if e_j0 / e_c0 < 0.5 * TRANSMON_RATIO_FLOOR:
-        raise InversionError(
-            f"seed ratio {e_j0 / e_c0:.1f} far below transmon floor {TRANSMON_RATIO_FLOOR}; "
-            "no transmon-regime solution"
-        )
+        raise InversionError(f"seed ratio {e_j0 / e_c0:.1f} far below transmon floor "
+                             f"{TRANSMON_RATIO_FLOOR}; no transmon-regime solution")
 
-    def residual(logs):
-        ej, ec = math.exp(logs[0]), math.exp(logs[1])
-        try:
-            fq_m, a_m = transmon_spectrum(ej, ec, cutoff)
-        except CutoffError as exc:
-            raise InversionError(f"iteration left the transmon regime: {exc}") from exc
-        return [fq_m - f_q, a_m - alpha]
+    def residual(ej, ec):
+        fq_m, a_m = transmon_spectrum(ej, ec, cutoff)
+        return fq_m - f_q, a_m - alpha
 
-    from scipy.optimize import root
-
-    sol = root(residual, [math.log(e_j0), math.log(e_c0)], method="hybr")
-    e_j, e_c = math.exp(sol.x[0]), math.exp(sol.x[1])
-    res = residual(sol.x)
+    (e_j, e_c), res = _newton(residual, [e_j0, e_c0])
     if max(abs(res[0]), abs(res[1])) > INVERSION_TOL_HZ:
-        raise InversionError(
-            f"inversion residuals {res[0]:.1f}, {res[1]:.1f} Hz above {INVERSION_TOL_HZ:.0f} Hz"
-        )
+        raise InversionError(f"inversion residuals {res[0]:.1f}, {res[1]:.1f} Hz above "
+                             f"{INVERSION_TOL_HZ:.0f} Hz")
     if e_j / e_c < TRANSMON_RATIO_FLOOR:
         raise InversionError(f"solution ratio {e_j / e_c:.1f} below transmon floor")
     return e_j, e_c
@@ -111,23 +122,9 @@ def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF):
 
 def _ej_from_fq(f_q, e_c, cutoff=DEFAULT_CUTOFF):
     """1-d inversion of the spectrum at fixed charging energy."""
-    seed = (f_q + e_c) ** 2 / (8.0 * e_c)
-
-    def g(ej):
-        return transmon_spectrum(ej, e_c, cutoff)[0] - f_q
-
-    lo, hi = seed, seed
-    while g(lo) > 0:
-        lo /= 1.5
-        if lo < e_c * 1e-3:
-            raise InversionError("no e_j solution at this e_c")
-    while g(hi) < 0:
-        hi *= 1.5
-        if hi > seed * 1e6:
-            raise InversionError("no e_j solution at this e_c")
-    from scipy.optimize import brentq
-
-    return brentq(g, lo, hi, xtol=1e-3, rtol=1e-14)
+    (e_j,), _ = _newton(lambda ej: [transmon_spectrum(ej, e_c, cutoff)[0] - f_q],
+                        [_ej_seed(f_q, e_c)])
+    return e_j
 
 
 def rj_target(r_now, f_q_now, f_q_target, e_c, cutoff=DEFAULT_CUTOFF):

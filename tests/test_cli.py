@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -32,17 +33,17 @@ def runner():
     return CliRunner()
 
 
-def small_registry(path, pairs):
+def small_registry(path, pairs, shoelaces=10):
     """Write a registry with the given (f_r, f_p) pairs and return it."""
     reg = DeviceRegistry(device_id="cli-test")
     for k, (fr, fp) in enumerate(pairs):
         reg.resonators[f"r{k}"] = ResonatorRecord(
             id=f"r{k}", role="readout", f_meas=fr,
-            shoelaces=ShoelaceArray(total=10, remaining=10),
+            shoelaces=ShoelaceArray(total=shoelaces, remaining=shoelaces),
         )
         reg.resonators[f"p{k}"] = ResonatorRecord(
             id=f"p{k}", role="purcell", f_meas=fp,
-            shoelaces=ShoelaceArray(total=10, remaining=10),
+            shoelaces=ShoelaceArray(total=shoelaces, remaining=shoelaces),
         )
         reg.pairs[f"pair{k}"] = PairLink(
             id=f"pair{k}", transmon=None, readout=f"r{k}", purcell=f"p{k}",
@@ -95,6 +96,22 @@ class TestPlanAndApply:
         )
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["actions"] == []
+
+    def test_plan_pair_does_not_scan_a_large_budget(self, runner, tmp_path):
+        # four shoelaces close the gap; the count scan stops there
+        plans = []
+        for shoelaces in (10, 10**7):
+            reg_path = tmp_path / f"reg{shoelaces}.json"
+            small_registry(reg_path, [(7.5e9, 7.545e9)], shoelaces=shoelaces)
+            start = time.perf_counter()
+            result = runner.invoke(main, ["plan", "pair", "--registry", str(reg_path),
+                                          "--all-pairs", "--nu-rho", str(NU_RHO)])
+            elapsed = time.perf_counter() - start
+            assert result.exit_code == 0, result.output
+            plans.append(json.loads(result.output))
+        assert elapsed < 0.5
+        assert plans[0] == plans[1]
+        assert [a["n_remove"] for a in plans[0]["actions"]] == [4]
 
     def test_plan_apply_cycle(self, runner, tmp_path):
         reg_path = tmp_path / "reg.json"
@@ -692,13 +709,20 @@ def test_bad_input_file_is_reported_by_path_or_line(runner, tmp_path, command, c
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("module", ["resotrim", "resotrim.cli"])
-def test_import_loads_no_scipy(module):
-    # scipy takes about a second to import; only transmon loads it, on first use
+TRANSMON_CALLS = ("e_j, e_c = resotrim.transmon.invert_spectroscopy(6e9, -3e8); "
+                  "r = resotrim.transmon.rj_target(6e3, 6e9, 5.9e9, e_c); "
+                  "resotrim.transmon.predict_fq(r, 6e3, e_j, e_c); ")
+
+
+@pytest.mark.parametrize("module, calls", [("resotrim", ""), ("resotrim.cli", ""),
+                                           ("resotrim.transmon", TRANSMON_CALLS)],
+                         ids=["resotrim", "resotrim.cli", "transmon-calls"])
+def test_import_loads_no_scipy(module, calls):
+    # scipy is a test dependency only; importing it would cost about a second
     src = os.path.dirname(os.path.dirname(resotrim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (f"import sys, {module}; "
+    code = (f"import sys, {module}; {calls}"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)

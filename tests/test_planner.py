@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resotrim.errors import (
@@ -108,6 +108,40 @@ class TestShiftToCount:
     def test_rejects_positive_target(self):
         with pytest.raises(DomainError):
             shift_to_count(7.5e9, NU_RHO, 1e6, remaining=10)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        f0=st.floats(4e9, 9e9),
+        model=st.one_of(st.floats(3e7, 3e8).map(eq2_shift_fn),
+                        st.floats(-1e13, -1e5).map(linear_shift_fn)),
+        pitch=st.floats(1e-7, 2e-5),
+        remaining=st.integers(0, 60),
+        steps=st.one_of(st.integers(0, 130).map(lambda k: k / 2),  # exact half-quantum ties
+                        st.floats(0.0, 65.0)),
+    )
+    def test_matches_the_full_count_scan(self, f0, model, pitch, remaining, steps):
+        def full_scan(landing, target):
+            best_n, best_err = 0, abs(landing(0) - target)
+            tol = 1e-12 * max(1.0, best_err)
+            for n in range(1, remaining + 1):
+                err = abs(landing(n) - target)
+                if err < best_err - tol:
+                    best_n, best_err = n, err
+            return best_n
+
+        quantum = abs(model(f0, pitch))
+        assume(quantum >= 1.0)
+        target = -min(steps, remaining + 0.25) * quantum
+        assert shift_to_count(f0, None, target, remaining, pitch, model) == full_scan(
+            lambda n: model(f0, n * pitch), target)
+        high = ResonatorRecord(id="h", role="purcell", f_meas=f0 - target,
+                               shoelaces=ShoelaceArray(total=remaining, remaining=remaining,
+                                                       pitch=pitch))
+        low = record("l", "readout", f0)
+        if high.f_meas - low.f_meas > 0.5 * abs(model(high.f_meas, pitch)) and remaining:
+            action = plan_pair_match(low, high, None, model)
+            assert action.n_remove == full_scan(
+                lambda n: high.f_meas + model(high.f_meas, n * pitch), low.f_meas)
 
 
 class TestPlanPairMatch:

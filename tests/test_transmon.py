@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resotrim import transmon
 from resotrim.errors import CutoffError, DirectionError, DomainError, InversionError
 from resotrim.registry import TransmonEntry
 from resotrim.transmon import (
@@ -57,6 +60,24 @@ class TestTransmonSpectrum:
         with pytest.raises(DomainError):
             transmon_spectrum(-1e9, 250e6)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        e_c=st.floats(50e6, 1e9),
+        ratio=st.floats(1.0, 200.0),
+        cutoff=st.integers(10, 40),
+    )
+    def test_matches_the_full_charge_basis_matrix(self, e_c, ratio, cutoff):
+        e_j = ratio * e_c
+        try:
+            f_q, alpha = transmon_spectrum(e_j, e_c, cutoff)
+        except CutoffError:
+            return
+        n = np.arange(-cutoff, cutoff + 1.0)
+        hop = np.full(2 * cutoff, -e_j / 2.0)
+        levels = np.linalg.eigvalsh(np.diag(4.0 * e_c * n**2) + np.diag(hop, 1) + np.diag(hop, -1))
+        assert f_q == pytest.approx(levels[1] - levels[0], rel=1e-11)
+        assert alpha == pytest.approx(levels[2] - 2.0 * levels[1] + levels[0], rel=1e-10)
+
 
 class TestInvertSpectroscopy:
     def test_round_trip_fixed_case(self):
@@ -89,6 +110,17 @@ class TestInvertSpectroscopy:
         # |alpha| comparable to f_q implies e_j/e_c far below the floor
         with pytest.raises((InversionError, DomainError)):
             invert_spectroscopy(2.0e9, -1.5e9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(f_q=st.floats(1e6, 1e12), alpha=st.floats(-1e11, -1e3),
+           cutoff=st.integers(10, 40))
+    def test_every_failure_is_an_inversion_error(self, f_q, alpha, cutoff):
+        try:
+            e_j, e_c = invert_spectroscopy(f_q, alpha, cutoff)
+        except (DomainError, InversionError):
+            return
+        f_back, a_back = transmon_spectrum(e_j, e_c, cutoff)
+        assert abs(f_back - f_q) < 1e3 and abs(a_back - alpha) < 1e3
 
 
 class TestRjTarget:
@@ -136,6 +168,40 @@ class TestRjTarget:
         e_j_now = _ej_from_fq(f_now, e_c)
         r_t = rj_target(r_now, f_now, f_target, e_c)
         assert abs(predict_fq(r_t, r_now, e_j_now, e_c) - f_target) < 1e3
+
+    @settings(max_examples=200, deadline=None)
+    @given(f_now=st.floats(1e6, 1e12), share=st.floats(1e-6, 1.0), e_c=st.floats(1e3, 1e11))
+    def test_every_failure_is_an_inversion_error(self, f_now, share, e_c):
+        try:
+            r = rj_target(6000.0, f_now, f_now * share, e_c)
+        except InversionError:
+            return
+        assert 6000.0 <= r < math.inf
+
+    @pytest.mark.parametrize("f_target, e_c, reason", [
+        (1e9, 300e6, "no transmon solution"),  # below the E_J -> 0 limit 4 E_c: no root
+        (5e9, 1e3, "cutoff 30 too small"),  # the seed E_J needs more charge states
+        (5e9, 1e-300, "positive and finite"),  # the seed E_J overflows to inf
+    ])
+    def test_solver_failures_are_inversion_errors(self, f_target, e_c, reason):
+        with pytest.raises(InversionError, match=reason):
+            rj_target(6000.0, 6.0e9, f_target, e_c)
+
+    def test_non_finite_spectrum_is_an_inversion_error(self, monkeypatch):
+        monkeypatch.setattr(transmon, "transmon_spectrum", lambda *args: (math.nan, math.nan))
+        with pytest.raises(InversionError):
+            rj_target(6000.0, 6.0e9, 5.9e9, 300e6)
+
+    def test_step_cap_is_an_inversion_error(self, monkeypatch):
+        # f_q - 6 GHz ~ sign(d) sqrt|d| in d = log(E_J / 16 GHz): Newton
+        # jumps between d and -d and never converges
+        def spectrum(e_j, e_c, cutoff):
+            d = math.log(e_j / 16e9)
+            return 6.0e9 + math.copysign(1e9 * math.sqrt(abs(d)), d), -e_c
+
+        monkeypatch.setattr(transmon, "transmon_spectrum", spectrum)
+        with pytest.raises(InversionError, match="no convergence"):
+            rj_target(6000.0, 6.0e9, 5.9e9, 300e6)
 
 
 class TestTransmonRecord:
