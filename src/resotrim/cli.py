@@ -41,13 +41,15 @@ def main():
 @reports_errors
 def fit_cmd(trace_path, model, registry_path, pair_id, no_baseline):
     """Fit a transmission trace and print the pair parameters."""
+    if pair_id and not registry_path:
+        raise ValidationError(f"--pair needs a registry: pass --registry or set {REGISTRY_ENVVAR}")
     trace = registry.load_trace(trace_path)
     if not no_baseline:
         trace = correct_baseline(trace)
     result = fit_pair(trace, initial_guess(trace), model=model)
     doc = {**result.as_dict(), "trace": trace_path, "trace_warnings": list(trace.warnings)}
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
-    if registry_path and pair_id:
+    if pair_id:
         reg = registry.load_registry(registry_path)
         reg.record_fit(pair_id, trace_path, model, result)
         registry.save_registry(reg, registry_path)

@@ -27,6 +27,7 @@ WING_FRACTION = 0.1  # share of the span at each end that correct_baseline takes
 WING_SCATTER_LIMIT = 0.05  # relative wing |S21| scatter above which it attaches a warning
 MIN_DIP_DEPTH = 0.05  # least dip depth, 1 - |S21|, that seeds a mode in initial_guess
 COST_RTOL, GRAD_TOL = 1e-10, 1e-8  # fit_pair convergence thresholds
+MAX_ITER = 500  # iterations of one fit_pair run
 
 
 @dataclass
@@ -214,40 +215,31 @@ _IDEAL_NAMES = ("f_r", "f_p", "j", "kappa")
 _FULL_NAMES = _IDEAL_NAMES + ("gamma_r", "gamma_p")
 
 
-def _model_and_jacobian(theta, f, names):
-    """Full-model S21 and its complex Jacobian wrt the packed parameters.
+def _values(theta):
+    """(f_r, f_p, j, kappa[, gamma_r, gamma_p]) from theta, and their derivatives wrt theta.
 
-    theta packs (f_r, f_p, log j, log kappa[, log gamma_r, log gamma_p]);
-    absent loss rates are zero.
+    theta packs the two frequencies, then the logs of the rates.
     """
-    j, kappa = math.exp(theta[2]), math.exp(theta[3])
-    lossy = len(names) > 4
-    gamma_r, gamma_p = map(math.exp, theta[4:6]) if lossy else (0.0, 0.0)
-    s, d = _s21(f, theta[0], theta[1], j, kappa, gamma_r, gamma_p, n_jac=6 if lossy else 4)
-    cols = [d[0], d[1], j * d[2], kappa * d[3]]
-    if lossy:
-        cols += [gamma_r * d[4], gamma_p * d[5]]
-    return s, np.stack(cols, axis=1)
+    rates = [math.exp(t) for t in theta[2:]]
+    return [theta[0], theta[1], *rates], np.array([1.0, 1.0, *rates])
 
 
-def _pack(guess, names, kappa_floor):
-    theta = [guess.f_r, guess.f_p, math.log(guess.j), math.log(guess.kappa)]
-    if len(names) > 4:
-        for rate in (guess.gamma_r + guess.kappa_drive, guess.gamma_p):
-            theta.append(math.log(max(rate, kappa_floor)))
-    return np.array(theta, dtype=float)
+def _model_and_jacobian(theta, f):
+    """Full-model S21, absent loss rates zero, and its complex Jacobian wrt theta."""
+    values, scale = _values(theta)
+    s, d = _s21(f, *values, n_jac=len(theta))
+    return s, np.stack(d, axis=1) * scale
 
 
-def _unpack(theta, names):
-    kwargs = {"f_r": theta[0], "f_p": theta[1], "j": math.exp(theta[2]), "kappa": math.exp(theta[3])}
-    if len(names) > 4:
-        kwargs["gamma_r"] = math.exp(theta[4])
-        kwargs["gamma_p"] = math.exp(theta[5])
-    return PairParams(**kwargs)
+def _pack(guess, n, kappa_floor):
+    """The first n of (f_r, f_p, log j, log kappa, log gamma_r, log gamma_p)."""
+    losses = [math.log(max(rate, kappa_floor))
+              for rate in (guess.gamma_r + guess.kappa_drive, guess.gamma_p)]
+    return np.array([guess.f_r, guess.f_p, math.log(guess.j), math.log(guess.kappa), *losses][:n])
 
 
-def _residuals(theta, f, z, names):
-    s, jac_c = _model_and_jacobian(theta, f, names)
+def _residuals(theta, f, z):
+    s, jac_c = _model_and_jacobian(theta, f)
     r = np.concatenate([(s - z).real, (s - z).imag])
     jac = np.concatenate([jac_c.real, jac_c.imag], axis=0)
     return r, jac
@@ -266,15 +258,17 @@ def _guess_variants(guess):
         for jf, kf in ((0.5, 1.0), (2.0, 1.0), (1.0, 4.0), (0.4, 2.0))]
 
 
-def fit_pair(trace, guess, model="ideal", max_iter=500, restarts=True):
+def fit_pair(trace, guess, model="ideal"):
     """Damped least squares of the pair model against a corrected trace.
 
-    Accepted steps never increase the cost. Convergence requires the
-    relative cost decrease below ``COST_RTOL`` or the gradient inf-norm
-    below ``GRAD_TOL`` on 3 consecutive iterations; otherwise the result
-    comes back with ``converged=False`` rather than failing silently.
-    With ``restarts`` the loop also runs from a few deterministic
-    variants of the guess and the lowest final cost wins.
+    Accepted steps never increase the cost. A run converges when the
+    relative cost decrease stays below ``COST_RTOL`` or the gradient
+    inf-norm below ``GRAD_TOL`` for 3 consecutive iterations, within
+    ``MAX_ITER``. Runs go from the guess and then from deterministic
+    variants of it, and stop as soon as the lowest-cost run so far has
+    converged; that run is the result. When none converges, the
+    lowest-cost run comes back with ``converged=False`` rather than
+    failing silently.
     """
     if model not in ("ideal", "full"):
         raise InvalidTraceError(f"unknown model {model!r}")
@@ -283,32 +277,28 @@ def fit_pair(trace, guess, model="ideal", max_iter=500, restarts=True):
     names = _IDEAL_NAMES if model == "ideal" else _FULL_NAMES
     f, z = trace.freqs, trace.values
 
-    starts = _guess_variants(guess) if restarts else [guess]
     best = None
-    for start in starts:
-        fit = _lm_loop(start, f, z, names, max_iter)
+    for start in _guess_variants(guess):
+        fit = _lm_loop(start, f, z, len(names))
         if best is None or fit[3] < best[3]:
             best = fit
-        if best[3] <= 1e-24 * len(f) and best[4]:
+        if best[4]:
             break
     theta, r, jac, cost, converged, it = best
 
-    m, n = 2 * len(f), len(names)
-    sigma2 = cost / max(m - n, 1)
+    values, scale = _values(theta)
+    m = 2 * len(f)
+    sigma2 = cost / max(m - len(names), 1)
     confidence = {}
     try:
         cov = sigma2 * np.linalg.pinv(jac.T @ jac)
         hw = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        params = _unpack(theta, names)
-        scale = [1.0, 1.0, params.j, params.kappa]
-        if n > 4:
-            scale += [params.gamma_r, params.gamma_p]
         confidence = {name: float(h * s) for name, h, s in zip(names, hw, scale)}
     except np.linalg.LinAlgError:
         pass
 
     return FitResult(
-        params=_unpack(theta, names),
+        params=PairParams(*values),
         residual_rms=float(np.sqrt(cost / m)),
         converged=converged,
         iterations=it,
@@ -316,19 +306,19 @@ def fit_pair(trace, guess, model="ideal", max_iter=500, restarts=True):
     )
 
 
-def _lm_loop(guess, f, z, names, max_iter):
+def _lm_loop(guess, f, z, n):
     # resonances must stay near the measured span; a frequency walking
     # far outside it degenerates the model into a single resonator
     span = f[-1] - f[0]
     f_lo, f_hi = f[0] - span, f[-1] + span
-    theta = _pack(guess, names, kappa_floor=guess.kappa * 1e-6)
-    r, jac = _residuals(theta, f, z, names)
+    theta = _pack(guess, n, kappa_floor=guess.kappa * 1e-6)
+    r, jac = _residuals(theta, f, z)
     cost = float(r @ r)
     lam = 1e-3
     streak = 0
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         jtj = jac.T @ jac
         grad = jac.T @ r
         diag = np.diag(jtj).copy()
@@ -344,7 +334,7 @@ def _lm_loop(guess, f, z, names, max_iter):
             # keep log-rates in a sane physical window to avoid overflow
             trial[0:2] = np.clip(trial[0:2], f_lo, f_hi)
             trial[2:] = np.clip(trial[2:], math.log(1e-3), math.log(1e12))
-            r_t, jac_t = _residuals(trial, f, z, names)
+            r_t, jac_t = _residuals(trial, f, z)
             cost_t = float(r_t @ r_t)
             if np.isfinite(cost_t) and cost_t <= cost:
                 break

@@ -42,8 +42,9 @@ def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF):
     holds levels 0 and 2 and its odd block level 1. Returns (f_q, alpha)
     in Hz. Raises CutoffError when level 2 has weight at the basis edge.
     """
-    if not (0 < e_j < math.inf and 0 < e_c < math.inf):
-        raise DomainError("e_j and e_c must be positive and finite")
+    # levels lie within 4 E_c cutoff^2 + 2 E_J of zero (Gershgorin): this keeps alpha finite
+    if not (0 < e_j and 0 < e_c and 16.0 * e_c * cutoff**2 + 8.0 * e_j < math.inf):
+        raise DomainError("e_j and e_c must be positive and finite, with a finite spectrum")
     if cutoff < 10:
         raise DomainError("cutoff must be at least 10")
     even = np.diag(4.0 * e_c * np.arange(cutoff + 1.0) ** 2) + np.diag([-e_j / 2.0] * cutoff, 1)
@@ -62,8 +63,8 @@ def asymptotic_fq(e_j, e_c):
 
 
 def _ej_seed(f_q, e_c):
-    """E_J at which :func:`asymptotic_fq` equals f_q."""
-    return (f_q + e_c) ** 2 / (8.0 * e_c)
+    """E_J at which :func:`asymptotic_fq` equals f_q; inf, which _newton refuses, on overflow."""
+    return (f_q + e_c) * (f_q + e_c) / (8.0 * e_c)
 
 
 def _newton(residual, energies):
@@ -97,8 +98,8 @@ def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF):
     seed e_c = -alpha, e_j = _ej_seed(f_q, -alpha); both residuals must
     end below ``INVERSION_TOL_HZ``.
     """
-    if not (f_q > -alpha > 0):
-        raise DomainError("need alpha < 0 and |alpha| below f_q")
+    if not (math.inf > f_q > -alpha > 0):
+        raise DomainError("need a finite f_q, alpha < 0 and |alpha| below f_q")
     e_c0 = -alpha
     e_j0 = _ej_seed(f_q, e_c0)
     # the seed underestimates the true ratio near the floor, so only clearly
@@ -132,8 +133,8 @@ def rj_target(r_now, f_q_now, f_q_target, e_c, cutoff=DEFAULT_CUTOFF):
 
     Annealing only increases R_J, i.e. only lowers f_q.
     """
-    if min(r_now, f_q_now, f_q_target, e_c) <= 0:
-        raise DomainError("all arguments must be positive")
+    if not all(0 < x < math.inf for x in (r_now, f_q_now, f_q_target, e_c)):
+        raise DomainError("all arguments must be positive and finite")
     if f_q_target > f_q_now:
         raise DirectionError("annealing can only lower the qubit frequency")
     e_j_now = _ej_from_fq(f_q_now, e_c, cutoff)
@@ -143,8 +144,8 @@ def rj_target(r_now, f_q_now, f_q_target, e_c, cutoff=DEFAULT_CUTOFF):
 
 def predict_fq(r_j_measured, r_j_reference, e_j_reference, e_c, cutoff=DEFAULT_CUTOFF):
     """Post-anneal frequency prediction from the measured resistance."""
-    if min(r_j_measured, r_j_reference, e_j_reference, e_c) <= 0:
-        raise DomainError("all arguments must be positive")
+    if not all(0 < x < math.inf for x in (r_j_measured, r_j_reference, e_j_reference, e_c)):
+        raise DomainError("all arguments must be positive and finite")
     e_j = e_j_reference * r_j_reference / r_j_measured
     return transmon_spectrum(e_j, e_c, cutoff)[0]
 

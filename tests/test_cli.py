@@ -1,6 +1,5 @@
 """CLI surface tests driven through click's runner."""
 
-import functools
 import json
 import os
 import subprocess
@@ -12,9 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import resotrim
-from resotrim import cli
+from resotrim import cli, fitting
 from resotrim.cli import main
-from resotrim.fitting import TransmissionTrace, fit_pair
+from resotrim.fitting import TransmissionTrace
 from resotrim.pairmodel import PairParams, s21_ideal
 from resotrim.planner import ResonatorRecord, ShoelaceArray, freq_shift, two_cycle_protocol
 from resotrim.registry import (
@@ -75,6 +74,26 @@ class TestFitCommand:
         assert reg.pairs["pair0"].j == pytest.approx(truth.j, rel=1e-6)
         assert reg.resonators["r0"].f_meas == pytest.approx(truth.f_r, abs=1e3)
         assert reg.history[-1]["event"] == "fit"
+
+    def test_pair_without_registry_is_refused(self, runner, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.REGISTRY_ENVVAR, raising=False)
+        truth = PairParams(f_r=7.5e9, f_p=7.503e9, j=10e6, kappa=3e6)
+        f = np.linspace(7.45e9, 7.55e9, 801)
+        trace_path = tmp_path / "trace.csv"
+        save_trace(TransmissionTrace(freqs=f, values=s21_ideal(f, truth)), trace_path)
+        result = runner.invoke(main, ["fit", "--trace", str(trace_path), "--no-baseline",
+                                      "--pair", "pair0"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("validation: ")
+        assert "f_r_hz" not in result.output  # refused before fitting
+        # a registry without --pair is allowed and left as it was
+        reg_path = tmp_path / "reg.json"
+        small_registry(reg_path, [(7.5e9, 7.51e9)])
+        before = reg_path.read_bytes()
+        result = runner.invoke(main, ["fit", "--trace", str(trace_path), "--no-baseline",
+                                      "--registry", str(reg_path)])
+        assert result.exit_code == 0, result.output
+        assert reg_path.read_bytes() == before
 
     def test_flat_trace_reports_category(self, runner, tmp_path):
         trace_path = tmp_path / "flat.csv"
@@ -279,7 +298,7 @@ class TestPlanAndApply:
                                       "--plan", str(plan_path)])
         assert result.exit_code == 0, result.output
         before = load_registry(reg_path)
-        monkeypatch.setattr(cli, "fit_pair", functools.partial(fit_pair, max_iter=1))
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
         truth = PairParams(f_r=7.80e9, f_p=7.82e9, j=10e6, kappa=20e6)
         f = np.linspace(7.71e9, 7.91e9, 1201)
         trace_path = tmp_path / "cycle1.csv"

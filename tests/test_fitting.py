@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import find_peaks, peak_widths
 
+from resotrim import fitting
 from resotrim.errors import InvalidTraceError, NoResonanceError
 from resotrim.fitting import (
     MIN_FIT_POINTS,
@@ -150,15 +151,15 @@ class TestJacobian:
             gamma_r=3e4, gamma_p=9e4, kappa_drive=2e5,
         )
         f = np.linspace(7.46e9, 7.57e9, 64)
-        theta = _pack(p, names, kappa_floor=1.0)
-        _, jac = _model_and_jacobian(theta, f, names)
+        theta = _pack(p, len(names), kappa_floor=1.0)
+        _, jac = _model_and_jacobian(theta, f)
         for i in range(len(theta)):
             h = 1.0 if i < 2 else 1e-7
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            sp, _ = _model_and_jacobian(tp, f, names)
-            sm, _ = _model_and_jacobian(tm, f, names)
+            sp, _ = _model_and_jacobian(tp, f)
+            sm, _ = _model_and_jacobian(tm, f)
             fd = (sp - sm) / (2 * h)
             scale = max(np.max(np.abs(jac[:, i])), 1e-12)
             assert np.max(np.abs(jac[:, i] - fd)) / scale < 1e-5
@@ -168,7 +169,7 @@ class TestFitPair:
     def test_fixed_point(self):
         truth = PairParams(f_r=7.5e9, f_p=7.503e9, j=10e6, kappa=3e6)
         tr = make_trace(truth, span=1e8, n=801)
-        result = fit_pair(tr, truth, restarts=False)
+        result = fit_pair(tr, truth)
         assert result.converged
         assert max(rel_errors(result.params, truth).values()) < 1e-6
 
@@ -193,7 +194,7 @@ class TestFitPair:
             gamma_r=5e4, gamma_p=1e5, kappa_drive=2e5,
         )
         tr = make_trace(truth, span=1e8, n=1601, model=s21_full)
-        result = fit_pair(tr, truth, model="full", restarts=False)
+        result = fit_pair(tr, truth, model="full")
         assert result.converged
         errors = rel_errors(result.params, truth, ("f_r", "f_p", "j", "kappa", "gamma_p"))
         # gamma_r and kappa_drive enter S21 only as a sum; the fit returns it as gamma_r
@@ -212,11 +213,42 @@ class TestFitPair:
         # confidence half-widths should be commensurate with the error
         assert 1e3 < result.confidence["f_r"] < 1e6
 
-    def test_nonconvergence_reported_not_raised(self):
+    def test_nonconvergence_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
         truth = PairParams(f_r=7.5e9, f_p=7.503e9, j=10e6, kappa=3e6)
         tr = make_trace(truth, span=1e8, n=801, noise=0.01, seed=3)
-        result = fit_pair(tr, initial_guess(tr), max_iter=1, restarts=False)
+        result = fit_pair(tr, initial_guess(tr))
         assert not result.converged
+
+    @staticmethod
+    def counted_runs(monkeypatch):
+        """Record the (converged, iterations) of every LM run fit_pair makes."""
+        runs, lm_loop = [], fitting._lm_loop
+
+        def counted(*args):
+            fit = lm_loop(*args)
+            runs.append((fit[4], fit[5]))
+            return fit
+
+        monkeypatch.setattr(fitting, "_lm_loop", counted)
+        return runs
+
+    def test_stops_once_the_best_run_has_converged(self, monkeypatch):
+        runs = self.counted_runs(monkeypatch)
+        truth = PairParams(7.5e9, 7.503e9, 10e6, 3e6)
+        tr = make_trace(truth, span=5e7, n=801, noise=0.01, seed=12)
+        result = fit_pair(tr, initial_guess(tr))
+        assert result.converged
+        assert runs == [(True, result.iterations)]
+
+    def test_falls_back_when_the_guess_run_does_not_converge(self, monkeypatch):
+        runs = self.counted_runs(monkeypatch)
+        truth = PairParams(f_r=7.5e9, f_p=7.500516e9, j=11.22e6, kappa=3.616e6,
+                           gamma_r=8490, gamma_p=3810, kappa_drive=11890)
+        tr = make_trace(truth, span=1e8, n=801, noise=0.003, seed=0, model=s21_full)
+        result = fit_pair(tr, initial_guess(tr), model="full")
+        assert runs[0] == (False, fitting.MAX_ITER)
+        assert result.converged
 
     def test_rejects_unknown_model(self):
         truth = PairParams(f_r=7.5e9, f_p=7.503e9, j=10e6, kappa=3e6)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resotrim import transmon
-from resotrim.errors import CutoffError, DirectionError, DomainError, InversionError
+from resotrim.errors import (
+    CutoffError, DirectionError, DomainError, InversionError, ResotrimError,
+)
 from resotrim.registry import TransmonEntry
 from resotrim.transmon import (
     AnnealConfig,
@@ -202,6 +204,37 @@ class TestRjTarget:
         monkeypatch.setattr(transmon, "transmon_spectrum", spectrum)
         with pytest.raises(InversionError, match="no convergence"):
             rj_target(6000.0, 6.0e9, 5.9e9, 300e6)
+
+
+# any float, with plausible magnitudes mixed in so that draws reach the solver
+ANY_FLOAT = st.one_of(st.floats(), st.floats(1e2, 1e11))
+
+
+class TestEntryPointsOnAnyFloat:
+    @pytest.mark.parametrize("call, arity", [
+        (invert_spectroscopy, 2), (rj_target, 4), (predict_fq, 4),
+    ])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_returns_finite_values_or_refuses(self, call, arity, data):
+        args = data.draw(st.tuples(*[ANY_FLOAT] * arity))
+        try:
+            out = call(*args)
+        except ResotrimError:
+            return
+        assert np.all(np.isfinite(out)), (args, out)
+
+    @pytest.mark.parametrize("call, args, error", [
+        (rj_target, (math.inf, 6e9, 5e9, 3e8), DomainError),
+        (rj_target, (math.nan, 6e9, 5e9, 3e8), DomainError),
+        (predict_fq, (1.0, 1.0, 1.0, 5e304), DomainError),  # the Hamiltonian overflows
+        (invert_spectroscopy, (math.inf, -3e8), DomainError),
+        (rj_target, (6000.0, 1e300, 5e9, 3e8), InversionError),  # the seed E_J overflows
+        (invert_spectroscopy, (1e300, -3e8), InversionError),
+    ])
+    def test_refuses_non_finite_input_and_overflow(self, call, args, error):
+        with pytest.raises(error):
+            call(*args)
 
 
 class TestTransmonRecord:
