@@ -1,9 +1,10 @@
 """Command-line surface for the measure -> fit -> plan -> re-measure cycle.
 
-Every command exits nonzero on failure with a machine-readable error
-category on stderr (``category: message``). Registry writes are atomic,
-so a failed ``apply`` leaves the file untouched. The default registry
-path can be set via the RESOTRIM_REGISTRY environment variable.
+A command that fails prints nothing on stdout and one report on stderr,
+``category: message`` with the lines that locate the fault under it, and
+exits with status 2. Registry writes are atomic, so a failed ``apply``
+leaves the file untouched. The default registry path can be set via the
+RESOTRIM_REGISTRY environment variable.
 """
 
 import json
@@ -12,7 +13,7 @@ import sys
 import click
 
 from . import planner, readout, registry, transmon
-from .errors import ValidationError, reports_errors
+from .errors import ResotrimError, ValidationError
 from .fitting import fit_pair, initial_guess, correct_baseline
 from .pairmodel import eigenmodes, matching_figure
 
@@ -26,7 +27,30 @@ registry_option = click.option(
 )
 
 
-@click.group()
+def _fail(category, message, details=()):
+    click.echo("\n".join([f"{category}: {message}", *(f"  {d}" for d in details)]), err=True)
+    sys.exit(2)
+
+
+class _Commands(click.Group):
+    """The ``resotrim`` group: each failure of a command is one report and exit status 2."""
+
+    def main(self, args=None, prog_name=None, **extra):
+        try:
+            return super().main(args, prog_name, standalone_mode=False, **extra)
+        except ResotrimError as exc:
+            _fail(exc.category, exc, exc.details)
+        except click.ClickException as exc:
+            _fail("usage", exc.format_message())
+        except OSError as exc:
+            _fail("io", f"{exc.filename}: {exc.strerror}" if exc.filename else exc)
+        except click.Abort:  # Ctrl-C
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+
+
+# no_args_is_help=False: a missing command is click's one-line "Missing command."
+@click.group(cls=_Commands, no_args_is_help=False)
 def main():
     """Readout/Purcell pair calibration: fitting, trim planning, simulation."""
 
@@ -38,7 +62,6 @@ def main():
               envvar=REGISTRY_ENVVAR, default=None)
 @click.option("--pair", "pair_id", default=None, help="Pair id to update in the registry.")
 @click.option("--no-baseline", is_flag=True, help="Skip baseline correction.")
-@reports_errors
 def fit_cmd(trace_path, model, registry_path, pair_id, no_baseline):
     """Fit a transmission trace and print the pair parameters."""
     if pair_id and not registry_path:
@@ -47,17 +70,17 @@ def fit_cmd(trace_path, model, registry_path, pair_id, no_baseline):
     if not no_baseline:
         trace = correct_baseline(trace)
     result = fit_pair(trace, initial_guess(trace), model=model)
-    doc = {**result.as_dict(), "trace": trace_path, "trace_warnings": list(trace.warnings)}
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
     if pair_id:
         reg = registry.load_registry(registry_path)
         reg.record_fit(pair_id, trace_path, model, result)
         registry.save_registry(reg, registry_path)
+    doc = {**result.as_dict(), "trace": trace_path, "trace_warnings": list(trace.warnings)}
+    click.echo(json.dumps(doc, indent=2, sort_keys=True))
     if not result.converged:
         sys.exit(3)
 
 
-@main.group("plan")
+@main.group("plan", no_args_is_help=False)
 def plan_group():
     """Produce trim plans."""
 
@@ -67,9 +90,9 @@ def _pair_records(reg, link):
 
 
 def _emit_plan(plan, provenance, out_path):
-    click.echo(json.dumps(registry.plan_to_doc(plan, provenance), indent=2, sort_keys=True))
     if out_path:
         registry.save_plan(plan, out_path, provenance)
+    click.echo(json.dumps(registry.plan_to_doc(plan, provenance), indent=2, sort_keys=True))
 
 
 def _slope(nu_rho, naive_slope):
@@ -87,16 +110,14 @@ def _slope(nu_rho, naive_slope):
 @click.option("--nu-rho", type=float, default=None, help="Phase velocity in m/s.")
 @click.option("--naive-slope", is_flag=True, help="Use the -2 MHz/um first-cycle slope.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@reports_errors
 def plan_pair_cmd(registry_path, pair_id, all_pairs, nu_rho, naive_slope, out_path):
     """Plan readout/Purcell frequency matching for one pair or all."""
     reg = registry.load_registry(registry_path)
     if all_pairs == bool(pair_id):
         raise ValidationError("give exactly one of --pair or --all-pairs")
-    links = list(reg.pairs.values()) if all_pairs else [reg.pairs[pair_id]] \
-        if pair_id in reg.pairs else None
-    if links is None:
+    if pair_id and pair_id not in reg.pairs:
         raise ValidationError(f"unknown pair {pair_id!r}")
+    links = list(reg.pairs.values()) if all_pairs else [reg.pairs[pair_id]]
     nu, shift_fn, mode = _slope(nu_rho, naive_slope)
     pairs = [_pair_records(reg, link) for link in links]
     plan = planner.plan_match_all(pairs, nu, shift_fn, cycle_index=reg.next_cycle_index())
@@ -111,7 +132,6 @@ def plan_pair_cmd(registry_path, pair_id, all_pairs, nu_rho, naive_slope, out_pa
 @click.option("--nu-rho", type=float, default=None)
 @click.option("--naive-slope", is_flag=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@reports_errors
 def plan_crowding_cmd(registry_path, feedline, guard_band, nu_rho, naive_slope, out_path):
     """Resolve mode crowding between pairs sharing a feedline."""
     reg = registry.load_registry(registry_path)
@@ -137,7 +157,6 @@ def plan_crowding_cmd(registry_path, feedline, guard_band, nu_rho, naive_slope, 
 @click.option("--plan", "plan_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--simulate-true-nu-rho", "nu_true", type=float, default=None,
               help="Simulate realized shifts with this true phase velocity.")
-@reports_errors
 def apply_cmd(registry_path, plan_path, nu_true):
     """Apply a trim plan to the registry (optionally simulating outcomes)."""
     reg = registry.load_registry(registry_path)
@@ -150,7 +169,6 @@ def apply_cmd(registry_path, plan_path, nu_true):
 @main.command("fit-nu-rho")
 @registry_option
 @click.option("--cycle", "cycle_index", required=True, type=int)
-@reports_errors
 def fit_nu_rho_cmd(registry_path, cycle_index):
     """Fit the phase velocity from the re-measured shifts of one trim cycle."""
     reg = registry.load_registry(registry_path)
@@ -159,7 +177,7 @@ def fit_nu_rho_cmd(registry_path, cycle_index):
     click.echo(json.dumps(fitted, indent=2, sort_keys=True))
 
 
-@main.group("simulate")
+@main.group("simulate", no_args_is_help=False)
 def simulate_group():
     """Synthetic-data simulations."""
 
@@ -167,7 +185,6 @@ def simulate_group():
 @simulate_group.command("anneal")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@reports_errors
 def simulate_anneal_cmd(config_path, out_path):
     """Run the closed-loop anneal simulator against a response model."""
     trace = transmon.anneal_closed_loop(*registry.load_anneal_config(config_path))
@@ -187,7 +204,6 @@ def simulate_anneal_cmd(config_path, out_path):
 @click.option("--n", "n_per_state", required=True, type=int)
 @click.option("--seed", required=True, type=int)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@reports_errors
 def simulate_readout_cmd(model_path, n_per_state, seed, out_path):
     """Generate single-shot IQ outcomes and print the benchmarks."""
     shots = readout.synth_shots(registry.load_blob_model(model_path), n_per_state, seed)
@@ -225,7 +241,6 @@ def pair_report(reg):
 @main.command("report")
 @registry_option
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of a table.")
-@reports_errors
 def report_cmd(registry_path, as_json):
     """Per-pair table: frequencies, detuning, linewidths, matching figure."""
     reg = registry.load_registry(registry_path)

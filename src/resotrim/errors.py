@@ -1,33 +1,15 @@
 """Exception hierarchy for the resotrim toolkit.
 
-Every error carries a short machine-readable ``category`` slug. A command
-wrapped in :func:`reports_errors` turns a raised error into its report on
-stderr (``category: message``, then the lines that locate the fault) and
-exit status 2.
+Every error carries a short machine-readable ``category`` slug. The
+``resotrim`` command group reports a raised error on stderr as
+``category: message``, then the lines that locate the fault, and exits
+with status 2.
 """
-
-import functools
-import sys
 
 
 class ResotrimError(Exception):
     category = "error"
     details = ()  # the lines under ``category: message`` that locate the fault
-
-
-def reports_errors(fn):
-    """fn, with a ResotrimError it raises printed as its report and exit status 2."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ResotrimError as exc:
-            print("\n".join([f"{exc.category}: {exc}", *(f"  {d}" for d in exc.details)]),
-                  file=sys.stderr, flush=True)
-            sys.exit(2)
-
-    return wrapper
 
 
 class DomainError(ResotrimError):

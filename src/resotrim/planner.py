@@ -11,6 +11,7 @@ is downward-only and ties round toward fewer removals.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,22 +129,29 @@ class PairEntry:
 
 def freq_shift(f0, nu_rho, delta_l):
     """Frequency shift (Hz, <= 0) from lengthening by delta_l meters."""
-    if f0 <= 0 or nu_rho <= 0:
-        raise DomainError("f0 and nu_rho must be positive")
-    if delta_l < 0:
-        raise DomainError("delta_l must be non-negative")
-    return -4.0 * f0**2 * delta_l / nu_rho
+    if not (0.0 < f0 < math.inf and 0.0 < nu_rho < math.inf):
+        raise DomainError("f0 and nu_rho must be finite and positive")
+    if not 0.0 <= delta_l < math.inf:
+        raise DomainError("delta_l must be finite and non-negative")
+    try:
+        shift = -4.0 * f0**2 * delta_l / nu_rho
+    except OverflowError:
+        shift = -math.inf
+    if shift == -math.inf:
+        raise DomainError("the frequency shift overflows")
+    return shift
 
 
 def eq2_shift_fn(nu_rho):
     """Shift predictor (f0, delta_l) -> Hz from the phase velocity."""
+    freq_shift(1.0, nu_rho, 0.0)  # refuses a bad nu_rho here, even if no shift follows
     return lambda f0, delta_l: freq_shift(f0, nu_rho, delta_l)
 
 
 def linear_shift_fn(slope=NAIVE_SLOPE):
     """Naive first-cycle predictor delta_f = slope * delta_l (slope < 0)."""
-    if slope >= 0:
-        raise DomainError("slope must be negative")
+    if not -math.inf < slope < 0:
+        raise DomainError("slope must be finite and negative")
     return lambda f0, delta_l: slope * delta_l
 
 
@@ -240,6 +248,8 @@ def _pair_candidates(entry, nu_rho, shift_fn):
     for k in range(head + 1):
         a_r = _action(entry.readout, n_r + k, shift_fn)
         a_p = _action(entry.purcell, n_p + k, shift_fn)
+        if k and min(a_r.predicted_f, a_p.predicted_f) <= 0:
+            break  # deeper candidates only fall further
         out.append((a_r, a_p))
     return out
 
@@ -322,6 +332,8 @@ def plan_crowding(pairs, guard_band=None, nu_rho=None, shift_fn=None, cycle_inde
         for e in pairs:
             widths.extend(m.kappa_eff for m in pairmodel.eigenmodes(e.params, "ground"))
         guard_band = 3.0 * max(widths)
+    if not 0.0 <= guard_band < math.inf:
+        raise DomainError("guard_band must be finite and non-negative")
 
     candidates = [_pair_candidates(e, nu_rho, shift_fn) for e in pairs]
     zero_choice = [
@@ -446,20 +458,31 @@ class TwoCycleResult:
 
 
 def plan_match_all(pairs, nu_rho, shift_fn, cycle_index):
-    actions = []
+    """One :func:`plan_pair_match` action per (readout, purcell) pair.
+
+    A pair whose predicted |f_P - f_R| stays above half the trim quantum
+    of its trimmed resonator makes the plan infeasible, with a note.
+    """
+    if shift_fn is None:
+        shift_fn = eq2_shift_fn(nu_rho)
+    actions, notes, gaps_after = [], [], []
     for r, p in pairs:
         a = plan_pair_match(r, p, nu_rho, shift_fn)
+        high, low = (r, p) if a.resonator_id == r.id else (p, r)
+        gaps_after.append(abs(a.predicted_f - low.f_meas))
+        if gaps_after[-1] > 0.5 * abs(shift_fn(high.f_meas, high.shoelaces.pitch)) * (1 + 1e-9):
+            notes.append(f"{high.id} cannot be matched to {low.id}: "
+                         f"predicted residual {gaps_after[-1]:.3e} Hz")
         if a.n_remove > 0:
             actions.append(a)
     gaps_before = [abs(p.f_meas - r.f_meas) for r, p in pairs]
-    predicted = {a.resonator_id: a.predicted_f for a in actions}
-    gaps_after = [abs(predicted.get(p.id, p.f_meas) - predicted.get(r.id, r.f_meas))
-                  for r, p in pairs]
     return TrimPlan(
         actions=actions,
         objective_before=float(np.mean(gaps_before)) if gaps_before else 0.0,
         objective_after=float(np.mean(gaps_after)) if gaps_after else 0.0,
         cycle_index=cycle_index,
+        feasible=not notes,
+        notes=notes,
     )
 
 

@@ -143,7 +143,7 @@ _PLAN_ACTION = {"resonator_id": _STR, "n_remove": _COUNT, "delta_l": _NON_NEGATI
 _OBJECTIVE = _Field(lambda v: _is_real(v) and v >= 0, "a non-negative number", 0.0, float)
 _PLAN = {"cycle_index": replace(_COUNT, default=0), "feasible": replace(_BOOL, default=True),
          "objective_before_hz": _OBJECTIVE, "objective_after_hz": _OBJECTIVE,
-         "notes": _list_of(_STR, ()), "actions": _list_of(_PLAN_ACTION, ()),
+         "notes": _list_of(_STR, ()), "actions": _list_of(_PLAN_ACTION),
          "provenance": replace(_OBJECT, default={})}
 # simulate anneal: the AnnealConfig fields in order, with units, and the response
 # dR/R0 = c log(1 + t/t0) as power in W -> [c, t0_s]
@@ -471,16 +471,19 @@ def load_registry(path):
 
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".resotrim-", suffix=".tmp")
+    """Write text to path through a temporary file beside it; an OSError names path."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".resotrim-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def save_registry(reg, path):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -316,6 +317,39 @@ class TestPlanAndApply:
         result = runner.invoke(main, ["fit-nu-rho", "--registry", str(reg_path), "--cycle", "1"])
         assert result.exit_code == 2
         assert result.stderr.startswith("underdetermined: ")
+
+    def test_a_registry_is_not_a_plan(self, runner, tmp_path):
+        # every plan key but actions has a default, and a registry has "version": 1
+        reg_path = tmp_path / "reg.json"
+        small_registry(reg_path, [(7.5e9, 7.521e9)])
+        before = reg_path.read_bytes()
+        result = runner.invoke(main, ["apply", "--registry", str(reg_path),
+                                      "--plan", str(reg_path)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == ["validation: plan schema violation",
+                                              "  actions: missing"]
+        assert reg_path.read_bytes() == before
+
+    def test_plan_crowding_plans_a_large_budget(self, runner, tmp_path):
+        # the candidates stop before a predicted frequency reaches 0 Hz
+        reg_path = tmp_path / "reg.json"
+        small_registry(reg_path, [(7.5e9, 7.545e9), (7.6e9, 7.62e9)], shoelaces=10**4)
+        result = runner.invoke(main, ["plan", "crowding", "--registry", str(reg_path),
+                                      "--feedline", "fl0", "--nu-rho", str(NU_RHO)])
+        assert result.exit_code == 0, result.output
+        actions = json.loads(result.output)["actions"]
+        assert actions and all(a["predicted_f"] > 0 for a in actions)
+
+    def test_plan_pair_marks_an_unmatchable_pair(self, runner, tmp_path):
+        reg_path = tmp_path / "reg.json"
+        small_registry(reg_path, [(7.5e9, 7.7e9)])
+        result = runner.invoke(main, ["plan", "pair", "--registry", str(reg_path),
+                                      "--all-pairs", "--naive-slope"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert [(a["resonator_id"], a["n_remove"]) for a in doc["actions"]] == [("p0", 10)]
+        assert not doc["feasible"]
+        assert doc["notes"] == ["p0 cannot be matched to r0: predicted residual 1.000e+08 Hz"]
 
     def test_plan_crowding_runs(self, runner, tmp_path):
         reg_path = tmp_path / "reg.json"
@@ -728,6 +762,76 @@ def test_bad_input_file_is_reported_by_path_or_line(runner, tmp_path, command, c
     assert not out_path.exists()
 
 
+PLAN_PAIR = ["plan", "pair", "--registry", "{reg}", "--all-pairs", "--nu-rho"]
+CROWDING = ["plan", "crowding", "--registry", "{reg}"]
+# name -> (arguments, category of the report); {reg} is a valid registry and
+# {tmp} its directory, which also holds a trace of pair0
+MALFORMED_INVOCATIONS = {
+    "no-arguments": ([], "usage"),
+    "unknown-command": (["bogus"], "usage"),
+    "unknown-option": (["report", "--registry", "{reg}", "--bogus"], "usage"),
+    "nu-rho-not-a-number": ([*PLAN_PAIR, "abc"], "usage"),
+    "missing-required-option": ([*CROWDING, "--nu-rho", "1.076e8"], "usage"),
+    "registry-missing": (["report", "--registry", "{tmp}/missing.json"], "usage"),
+    "registry-a-directory": (["report", "--registry", "{tmp}"], "usage"),
+    "out-into-missing-directory": ([*PLAN_PAIR, "1.076e8", "--out", "{tmp}/no/plan.json"], "io"),
+    "out-a-directory": ([*PLAN_PAIR, "1.076e8", "--out", "{tmp}"], "usage"),
+    "nu-rho-nan": ([*PLAN_PAIR, "nan"], "domain"),
+    "guard-band-negative": ([*CROWDING, "--feedline", "fl0", "--guard-band", "-5",
+                             "--nu-rho", "1.076e8"], "domain"),
+    "registry-as-plan": (["apply", "--registry", "{reg}", "--plan", "{reg}"], "validation"),
+    "fit-unknown-pair": (["fit", "--trace", "{tmp}/trace.csv", "--no-baseline",
+                          "--registry", "{reg}", "--pair", "pair9"], "validation"),
+}
+
+
+@pytest.mark.parametrize("args, category", MALFORMED_INVOCATIONS.values(),
+                         ids=MALFORMED_INVOCATIONS)
+def test_malformed_invocation_is_one_report(runner, tmp_path, args, category):
+    reg_path = tmp_path / "reg.json"
+    small_registry(reg_path, [(7.5e9, 7.521e9)])
+    f = np.linspace(7.45e9, 7.57e9, 801)
+    truth = PairParams(f_r=7.5e9, f_p=7.521e9, j=10e6, kappa=20e6)
+    save_trace(TransmissionTrace(freqs=f, values=s21_ideal(f, truth)), tmp_path / "trace.csv")
+    before, files = reg_path.read_bytes(), sorted(os.listdir(tmp_path))
+    result = runner.invoke(main, [a.format(reg=reg_path, tmp=tmp_path) for a in args])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    first = result.stderr.splitlines()[0]
+    assert re.match(r"^[a-z][a-z-]*: \S", first) and first.startswith(f"{category}: ")
+    assert "Traceback" not in result.output
+    assert reg_path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == files
+
+
+def test_ctrl_c_aborts_with_status_1(runner, tmp_path, monkeypatch):
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    reg_path = tmp_path / "reg.json"
+    small_registry(reg_path, [(7.5e9, 7.521e9)])
+    monkeypatch.setattr(cli.registry, "load_registry", interrupted)
+    result = runner.invoke(main, ["report", "--registry", str(reg_path)])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
+
+
+def _src_env():
+    """os.environ with this checkout's resotrim first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(resotrim.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_reports_a_missing_registry(tmp_path):
+    # a fresh interpreter with real streams, as the installed console script runs
+    proc = subprocess.run([sys.executable, "-m", "resotrim.cli", "report", "--registry",
+                           str(tmp_path / "missing.json")], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert re.match(r"^usage: \S", proc.stderr), proc.stderr
+
+
 TRANSMON_CALLS = ("e_j, e_c = resotrim.transmon.invert_spectroscopy(6e9, -3e8); "
                   "r = resotrim.transmon.rj_target(6e3, 6e9, 5.9e9, e_c); "
                   "resotrim.transmon.predict_fq(r, 6e3, e_j, e_c); ")
@@ -738,11 +842,8 @@ TRANSMON_CALLS = ("e_j, e_c = resotrim.transmon.invert_spectroscopy(6e9, -3e8); 
                          ids=["resotrim", "resotrim.cli", "transmon-calls"])
 def test_import_loads_no_scipy(module, calls):
     # scipy is a test dependency only; importing it would cost about a second
-    src = os.path.dirname(os.path.dirname(resotrim.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (f"import sys, {module}; {calls}"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -254,6 +255,91 @@ class TestPlanCrowding:
         entries = crowding_entries([(7.5e9, 7.5e9)])
         with pytest.raises(DomainError):
             plan_crowding(entries)
+
+    def test_candidates_stop_above_zero_hertz(self):
+        # a 10^4-shoelace budget would reach below 0 Hz after about 700 extra removals
+        from resotrim.planner import _pair_candidates
+
+        (entry,) = crowding_entries([(7.5e9, 7.545e9)])
+        for rec in (entry.readout, entry.purcell):
+            rec.shoelaces = ShoelaceArray(total=10**4, remaining=10**4)
+        candidates = _pair_candidates(entry, NU_RHO, eq2_shift_fn(NU_RHO))
+        assert 100 < len(candidates) < 10**4
+        assert all(a.predicted_f > 0 for pair in candidates for a in pair)
+        deeper = [rec.f_meas + freq_shift(rec.f_meas, NU_RHO, (a.n_remove + 1) * DEFAULT_PITCH)
+                  for rec, a in zip((entry.readout, entry.purcell), candidates[-1])]
+        assert min(deeper) <= 0
+
+
+class TestPlanMatchAll:
+    def test_unmatchable_pair_makes_the_plan_infeasible(self):
+        # ten shoelaces move p0 down by 100 MHz, half of its 200 MHz gap
+        pairs = [(record("r0", "readout", 7.5e9), record("p0", "purcell", 7.7e9)),
+                 (record("r1", "readout", 7.6e9), record("p1", "purcell", 7.62e9))]
+        plan = plan_match_all(pairs, None, linear_shift_fn(), cycle_index=1)
+        assert [(a.resonator_id, a.n_remove) for a in plan.actions] == [("p0", 10), ("p1", 2)]
+        assert not plan.feasible
+        (note,) = plan.notes
+        assert note == "p0 cannot be matched to r0: predicted residual 1.000e+08 Hz"
+
+    @pytest.mark.parametrize("nu_rho, shift_fn", [(None, linear_shift_fn()), (NU_RHO, None)],
+                             ids=["naive", "fitted"])
+    def test_matchable_pairs_stay_feasible(self, nu_rho, shift_fn):
+        # 45 MHz is a tie at 4.5 naive quanta: the residual is half a quantum
+        pairs = [(record("r0", "readout", 7.5e9), record("p0", "purcell", 7.545e9)),
+                 (record("r1", "readout", 7.631e9), record("p1", "purcell", 7.6e9))]
+        plan = plan_match_all(pairs, nu_rho, shift_fn, cycle_index=1)
+        assert plan.feasible and plan.notes == []
+        assert [a.resonator_id for a in plan.actions] == ["p0", "r1"]
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestNonFiniteArguments:
+    """Each entry point returns a finite value or raises a ResotrimError."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(f0=ANY_FLOAT, nu_rho=ANY_FLOAT, delta_l=ANY_FLOAT, slope=ANY_FLOAT)
+    def test_shift_predictors(self, f0, nu_rho, delta_l, slope):
+        for shift in (lambda: freq_shift(f0, nu_rho, delta_l),
+                      lambda: eq2_shift_fn(nu_rho)(f0, delta_l),
+                      lambda: linear_shift_fn(slope)(7.5e9, DEFAULT_PITCH)):
+            try:
+                value = shift()
+            except ResotrimError:
+                continue
+            assert math.isfinite(value) and value <= 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(nu_rho=ANY_FLOAT)
+    def test_simulated_outcomes_and_matching(self, nu_rho):
+        r, p = record("r0", "readout", 7.5e9), record("p0", "purcell", 7.52e9)
+        plan = plan_match_all([(r, p)], NU_RHO, None, cycle_index=1)
+        try:
+            outcome = simulate_outcomes([r, p], plan, nu_rho)
+            assert all(math.isfinite(f) for f in outcome.values())
+        except ResotrimError:
+            pass
+        for pairs in ([(r, p)], []):
+            try:
+                replanned = plan_match_all(pairs, nu_rho, None, cycle_index=1)
+            except ResotrimError:
+                continue
+            assert 0 < nu_rho < math.inf
+            assert math.isfinite(replanned.objective_before + replanned.objective_after)
+
+    @settings(max_examples=100, deadline=None)
+    @given(guard_band=ANY_FLOAT, nu_rho=st.one_of(st.just(NU_RHO), ANY_FLOAT))
+    def test_crowding(self, guard_band, nu_rho):
+        entries = crowding_entries([(7.5e9, 7.52e9), (7.51e9, 7.51e9)])
+        try:
+            plan = plan_crowding(entries, guard_band=guard_band, nu_rho=nu_rho)
+        except ResotrimError:
+            assert nu_rho != NU_RHO or not 0 <= guard_band < math.inf
+            return
+        assert 0 <= guard_band < math.inf
+        assert math.isfinite(plan.objective_before) and math.isfinite(plan.objective_after)
 
 
 class TestFitNuRho:
