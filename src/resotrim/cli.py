@@ -168,7 +168,7 @@ def apply_cmd(registry_path, plan_path, nu_true):
 
 @main.command("fit-nu-rho")
 @registry_option
-@click.option("--cycle", "cycle_index", required=True, type=int)
+@click.option("--cycle", "cycle_index", required=True, type=click.IntRange(min=1))
 def fit_nu_rho_cmd(registry_path, cycle_index):
     """Fit the phase velocity from the re-measured shifts of one trim cycle."""
     reg = registry.load_registry(registry_path)

@@ -47,9 +47,22 @@ class ShotSet:
     def __post_init__(self):
         self.i = np.asarray(self.i, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
-        if not (len(self.i) == len(self.q) == len(self.labels)):
+        labels = np.asarray(self.labels)
+        if not (self.i.ndim == self.q.ndim == labels.ndim == 1):
+            raise DomainError("i, q and labels must be one-dimensional")
+        if not (len(self.i) == len(self.q) == len(labels)):
             raise DomainError("i, q and labels must have equal lengths")
+        bad = ~(np.isfinite(self.i) & np.isfinite(self.q))
+        if bad.any():
+            raise DomainError(f"i and q must be finite; shot {int(bad.argmax())} is not")
+        # checked before the cast, which would turn 0.7 into 0
+        if labels.dtype.kind not in "biuf":
+            raise DomainError(f"labels must be 0 or 1, not {labels.dtype} values")
+        bad = (labels != 0) & (labels != 1)
+        if bad.any():
+            k = int(bad.argmax())
+            raise DomainError(f"labels must be 0 or 1; shot {k} has {labels.item(k)!r}")
+        self.labels = labels.astype(int)
 
     def __len__(self):
         return len(self.i)
@@ -86,16 +99,22 @@ def synth_shots(model, n_per_state, seed):
 def assignment_fidelity(shots):
     """Average assignment fidelity via the optimal 1-d threshold.
 
-    Shots are projected on the axis joining the per-label means; the
-    threshold scan over midpoints of sorted projections maximizes the
-    average correct-assignment probability.
+    Shots are projected on the axis joining the per-label means. The
+    label-0 and the label-1 projections are each sorted once and the two
+    sorted runs merged, and the threshold scan over the midpoints between
+    consecutive sorted projections maximizes the average correct-assignment
+    probability. A split between two equal projections is not a threshold
+    and scores nothing, so the result does not depend on the shot order.
     """
-    labels = shots.labels
-    if not (np.any(labels == 0) and np.any(labels == 1)):
+    is0 = shots.labels == 0
+    n = len(is0)
+    n0 = int(np.count_nonzero(is0))
+    n1 = n - n0  # ShotSet admits only labels 0 and 1
+    if n0 == 0 or n1 == 0:
         raise EstimationError("both prepared states are required")
     pts = np.column_stack([shots.i, shots.q])
-    mu0 = pts[labels == 0].mean(axis=0)
-    mu1 = pts[labels == 1].mean(axis=0)
+    mu0 = pts.compress(is0, axis=0).mean(axis=0)
+    mu1 = pts.compress(~is0, axis=0).mean(axis=0)
     axis = mu1 - mu0
     norm = np.linalg.norm(axis)
     if norm == 0:
@@ -104,21 +123,24 @@ def assignment_fidelity(shots):
     axis = axis / norm
     x = pts @ axis
 
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ls = labels[order]
-    n0 = int((labels == 0).sum())
-    n1 = int((labels == 1).sum())
+    # each label sorted once, in place; a stable argsort of the two runs is
+    # a linear merge, and its indices below n0 are the label-0 shots
+    runs = np.empty(n)
+    x.compress(is0, out=runs[:n0]).sort()
+    x.compress(~is0, out=runs[n0:]).sort()
+    order = np.argsort(runs, kind="stable")
+    xs = runs[order]
     # cum0[k]: zeros among the first k sorted shots (assigned 0 if threshold
     # sits after position k); correct = cum0[k]/n0 + (ones above k)/n1
-    cum0 = np.concatenate([[0], np.cumsum(ls == 0)])
-    cum1 = np.concatenate([[0], np.cumsum(ls == 1)])
+    cum0 = np.concatenate([[0], np.cumsum(order < n0)])
+    cum1 = np.arange(n + 1) - cum0
     correct = cum0 / n0 + (n1 - cum1) / n1  # over split positions 0..n
+    correct[1:-1][xs[1:] == xs[:-1]] = -np.inf
     k = int(np.argmax(correct))
     f_ro = float(correct[k] / 2.0)
     if k == 0:
         threshold = xs[0] - 1.0
-    elif k == len(xs):
+    elif k == n:
         threshold = xs[-1] + 1.0
     else:
         threshold = 0.5 * (xs[k - 1] + xs[k])

@@ -782,6 +782,8 @@ MALFORMED_INVOCATIONS = {
     "registry-as-plan": (["apply", "--registry", "{reg}", "--plan", "{reg}"], "validation"),
     "fit-unknown-pair": (["fit", "--trace", "{tmp}/trace.csv", "--no-baseline",
                           "--registry", "{reg}", "--pair", "pair9"], "validation"),
+    "cycle-negative": (["fit-nu-rho", "--registry", "{reg}", "--cycle", "-1"], "usage"),
+    "cycle-zero": (["fit-nu-rho", "--registry", "{reg}", "--cycle", "0"], "usage"),
 }
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from resotrim.errors import (
@@ -14,6 +16,7 @@ from resotrim.errors import (
 from resotrim.pairmodel import kappa_eff_pair
 from resotrim.readout import (
     BlobModel,
+    ReadoutBenchmarks,
     ShotSet,
     assignment_fidelity,
     depletion_time,
@@ -120,6 +123,110 @@ class TestAssignmentFidelity:
         shots = ShotSet(i=np.zeros(10), q=np.zeros(10), labels=np.zeros(10, int))
         with pytest.raises(EstimationError):
             assignment_fidelity(shots)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 1, 1], [0, 1, 0, 1]])
+    def test_split_between_equal_projections_is_no_threshold(self, labels):
+        # the two middle shots project to 1.0 with different labels: no
+        # threshold separates them, so at best 3 of 4 shots are assigned right
+        shots = ShotSet(i=[0.0, 1.0, 1.0, 2.0], q=np.zeros(4), labels=labels)
+        bench = assignment_fidelity(shots)
+        assert bench.f_ro == 0.75
+        assert bench.threshold in (0.5, 1.5)
+
+    @given(st.data())
+    def test_tie_free_shots_match_one_stable_argsort(self, data):
+        n = data.draw(st.integers(2, 40))
+        coord = st.floats(-1e3, 1e3, allow_nan=False)
+        i = data.draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+        q = data.draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                           .filter(lambda ls: 0 < sum(ls) < n))
+        shots = ShotSet(i=i, q=q, labels=labels)
+        want = _one_stable_argsort_scan(shots)
+        x = np.column_stack([shots.i, shots.q]) @ np.array(want.axis)
+        assume(not np.isin(x[shots.labels == 0], x[shots.labels == 1]).any())
+        assert assignment_fidelity(shots) == want
+
+    @given(st.data())
+    def test_tied_shots_score_the_best_threshold_in_any_order(self, data):
+        n = data.draw(st.integers(2, 30))
+        coord = st.integers(-2, 2)
+        i = data.draw(st.lists(coord, min_size=n, max_size=n))
+        q = data.draw(st.lists(coord, min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                           .filter(lambda ls: 0 < sum(ls) < n))
+        shots = ShotSet(i=i, q=q, labels=labels)
+        bench = assignment_fidelity(shots)
+        perm = np.array(data.draw(st.permutations(range(n))))
+        moved = ShotSet(i=shots.i[perm], q=shots.q[perm], labels=shots.labels[perm])
+        assert assignment_fidelity(moved) == bench
+        # brute force: assign 0 at or below each distinct projection, and
+        # below all shots
+        x = np.column_stack([shots.i, shots.q]) @ np.array(bench.axis)
+        x0, x1 = x[shots.labels == 0], x[shots.labels == 1]
+        scores = [(x0 <= v).mean() + (x1 > v).mean() for v in np.unique(x)] + [1.0]
+        assert bench.f_ro == pytest.approx(max(scores) / 2.0, abs=1e-12)
+
+
+def _one_stable_argsort_scan(shots):
+    """The threshold scan as one stable argsort over all projections, with
+    every split scored, ties included."""
+    labels = shots.labels
+    pts = np.column_stack([shots.i, shots.q])
+    axis = pts[labels == 1].mean(axis=0) - pts[labels == 0].mean(axis=0)
+    norm_ = np.linalg.norm(axis)
+    axis = np.array([1.0, 0.0]) if norm_ == 0 else axis / norm_
+    x = pts @ axis
+    order = np.argsort(x, kind="stable")
+    xs, ls = x[order], labels[order]
+    n0, n1 = int((labels == 0).sum()), int((labels == 1).sum())
+    cum0 = np.concatenate([[0], np.cumsum(ls == 0)])
+    cum1 = np.concatenate([[0], np.cumsum(ls == 1)])
+    correct = cum0 / n0 + (n1 - cum1) / n1
+    k = int(np.argmax(correct))
+    f_ro = float(correct[k] / 2.0)
+    if k == 0:
+        threshold = xs[0] - 1.0
+    elif k == len(xs):
+        threshold = xs[-1] + 1.0
+    else:
+        threshold = 0.5 * (xs[k - 1] + xs[k])
+    return ReadoutBenchmarks(f_ro=f_ro, eps_ro=1.0 - f_ro, threshold=float(threshold),
+                             axis=(float(axis[0]), float(axis[1])))
+
+
+class TestShotSet:
+    @pytest.mark.parametrize("field, value, match", [
+        ("i", math.nan, "finite"),
+        ("q", math.inf, "finite"),
+        ("i", -math.inf, "finite"),
+        ("labels", 2, "0 or 1"),
+        ("labels", -1, "0 or 1"),
+        ("labels", 0.7, "0 or 1"),
+        ("labels", math.nan, "0 or 1"),
+    ])
+    def test_refuses_shots_it_cannot_score(self, field, value, match):
+        fields = {"i": [0.0, 1.0, 2.0], "q": [0.0, 0.0, 0.0], "labels": [0, 1, 1]}
+        fields[field] = fields[field][:2] + [value]
+        with pytest.raises(DomainError, match=f"{match}.*shot 2"):
+            ShotSet(**fields)
+
+    def test_refuses_non_numeric_labels(self):
+        with pytest.raises(DomainError, match="0 or 1"):
+            ShotSet(i=[0.0, 1.0], q=[0.0, 0.0], labels=["0", "1"])
+
+    def test_refuses_unequal_lengths(self):
+        with pytest.raises(DomainError, match="equal lengths"):
+            ShotSet(i=[0.0, 1.0], q=[0.0], labels=[0, 1])
+
+    def test_refuses_scalars(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            ShotSet(i=0.0, q=0.0, labels=0)
+
+    def test_integral_float_and_bool_labels_become_ints(self):
+        shots = ShotSet(i=[0.0, 1.0], q=[0.0, 0.0], labels=np.array([False, True]))
+        assert shots.labels.dtype.kind == "i" and list(shots.labels) == [0, 1]
+        assert list(ShotSet(i=[0.0, 1.0], q=[0.0, 0.0], labels=[1.0, 0.0]).labels) == [1, 0]
 
 
 class TestPqnd:
