@@ -105,6 +105,8 @@ def assignment_fidelity(shots):
     consecutive sorted projections maximizes the average correct-assignment
     probability. A split between two equal projections is not a threshold
     and scores nothing, so the result does not depend on the shot order.
+    Raises EstimationError when a label mean, the axis or a projection
+    overflows.
     """
     is0 = shots.labels == 0
     n = len(is0)
@@ -113,15 +115,21 @@ def assignment_fidelity(shots):
     if n0 == 0 or n1 == 0:
         raise EstimationError("both prepared states are required")
     pts = np.column_stack([shots.i, shots.q])
-    mu0 = pts.compress(is0, axis=0).mean(axis=0)
-    mu1 = pts.compress(~is0, axis=0).mean(axis=0)
-    axis = mu1 - mu0
-    norm = np.linalg.norm(axis)
-    if norm == 0:
-        axis = np.array([1.0, 0.0])
-        norm = 1.0
-    axis = axis / norm
-    x = pts @ axis
+    # overflow is reported below as an EstimationError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu0 = pts.compress(is0, axis=0).mean(axis=0)
+        mu1 = pts.compress(~is0, axis=0).mean(axis=0)
+        axis = mu1 - mu0
+        norm = np.linalg.norm(axis)  # not finite if a mean or the axis is not
+        if not np.isfinite(norm):
+            raise EstimationError("the label means or the axis between them overflow")
+        if norm == 0:
+            axis = np.array([1.0, 0.0])
+            norm = 1.0
+        axis = axis / norm
+        x = pts @ axis
+    if not np.isfinite(x).all():
+        raise EstimationError("a shot's projection on the axis overflows")
 
     # each label sorted once, in place; a stable argsort of the two runs is
     # a linear merge, and its indices below n0 are the label-0 shots

@@ -1,6 +1,7 @@
 """Trim-planner tests: shift arithmetic, matching, crowding, two-cycle loop."""
 
 import copy
+import functools
 import itertools
 import math
 
@@ -16,6 +17,7 @@ from resotrim.errors import (
     UnderdeterminedError,
     UnmatchableError,
 )
+from resotrim import pairmodel
 from resotrim.pairmodel import PairParams
 from resotrim.planner import (
     DEFAULT_PITCH,
@@ -37,6 +39,10 @@ from resotrim.planner import (
     simulate_outcomes,
     two_cycle_protocol,
     velocity_samples,
+    _action,
+    _crowding_objective,
+    _exhaustive,
+    _pair_candidates,
 )
 
 NU_RHO = 1.076e8  # m/s, fitted phase velocity
@@ -269,6 +275,163 @@ class TestPlanCrowding:
         deeper = [rec.f_meas + freq_shift(rec.f_meas, NU_RHO, (a.n_remove + 1) * DEFAULT_PITCH)
                   for rec, a in zip((entry.readout, entry.purcell), candidates[-1])]
         assert min(deeper) <= 0
+
+    def test_search_path_survives_int64_overflow(self):
+        # four pairs at 7.0-7.15 GHz with 10^5 shoelaces of 50 nm have these
+        # counts; their product, 3.3e19, wraps below zero in int64
+        counts = [76858, 76313, 75775, 75245]
+        assert int(np.prod(counts)) < 0
+        assert not _exhaustive(counts)
+        assert _exhaustive([13, 13, 13, 13]) and not _exhaustive([2] * 5)
+
+
+def reference_objective(entries, choice, guard_band):
+    """The objective as scored per combination before the mode table."""
+    modes = []
+    mismatch = 0.0
+    removed = 0
+    for entry, (a_r, a_p) in zip(entries, choice):
+        modes.append((cached_modes(entry.params.with_frequencies(a_r.predicted_f,
+                                                                 a_p.predicted_f)),
+                      entry.pair_id))
+        mismatch += abs(a_p.predicted_f - a_r.predicted_f)
+        removed += a_r.n_remove + a_p.n_remove
+    violations = 0
+    min_spacing = np.inf
+    for (m1, _), (m2, _) in itertools.combinations(modes, 2):
+        for fa in m1:
+            for fb in m2:
+                gap = abs(fa - fb)
+                min_spacing = min(min_spacing, gap)
+                if gap < guard_band:
+                    violations += 1
+    return (violations, mismatch, removed), min_spacing
+
+
+@functools.lru_cache(maxsize=None)
+def cached_modes(params):
+    low, high = pairmodel.eigenmodes(params, "ground")
+    return low.f_mode, high.f_mode
+
+
+def reference_crowding(entries, guard_band, nu_rho):
+    """plan_crowding as it searched before the mode table: every candidate
+    combination re-scored from its actions. Returns (plan, chosen actions)."""
+    shift_fn = eq2_shift_fn(nu_rho)
+    if guard_band is None:
+        guard_band = 3.0 * max(m.kappa_eff for e in entries
+                               for m in pairmodel.eigenmodes(e.params, "ground"))
+    candidates = [_pair_candidates(e, nu_rho, shift_fn) for e in entries]
+    zero = [(_action(e.readout, 0, shift_fn), _action(e.purcell, 0, shift_fn))
+            for e in entries]
+    _, spacing_before = reference_objective(entries, zero, guard_band)
+
+    def pick(ix):
+        return [candidates[i][ix[i]] for i in range(len(entries))]
+
+    if len(entries) <= 4 and math.prod(len(c) for c in candidates) <= 200_000:
+        best_idx, best = None, None
+        for combo in itertools.product(*(range(len(c)) for c in candidates)):
+            score, _ = reference_objective(entries, pick(combo), guard_band)
+            if best is None or score < best:
+                best_idx, best = combo, score
+    else:
+        best_idx = [0] * len(entries)
+        best = reference_objective(entries, pick(best_idx), guard_band)
+        improved = True
+        while improved:
+            improved = False
+            for i in range(len(entries)):
+                for k in range(len(candidates[i])):
+                    if k == best_idx[i]:
+                        continue
+                    trial = list(best_idx)
+                    trial[i] = k
+                    s = reference_objective(entries, pick(trial), guard_band)
+                    if s < best:
+                        best_idx, best = trial, s
+                        improved = True
+    choice = pick(best_idx)
+    score, spacing_after = reference_objective(entries, choice, guard_band)
+    plan = TrimPlan(
+        actions=[a for pair in choice for a in pair if a.n_remove > 0],
+        objective_before=float(spacing_before),
+        objective_after=float(spacing_after),
+        feasible=score[0] == 0,
+    )
+    if score[0] > 0:
+        plan.notes.append(f"{score[0]} guard-band violations remain (best effort)")
+    return plan, choice
+
+
+@st.composite
+def crowded_feedlines(draw):
+    """2-6 pairs within 200 MHz, each resonator with a budget of 0-12 shoelaces."""
+    entries = []
+    for k in range(draw(st.integers(2, 6))):
+        f_r = draw(st.floats(7.0e9, 7.2e9))
+        f_p = f_r + draw(st.floats(-30e6, 30e6))
+        budgets = [draw(st.integers(0, 12)) for _ in range(2)]
+        entries.append(PairEntry(
+            pair_id=f"pair{k}",
+            params=PairParams(f_r=f_r, f_p=f_p, j=draw(st.floats(5e6, 15e6)),
+                              kappa=draw(st.floats(1e6, 5e6))),
+            readout=ResonatorRecord(f"r{k}", "readout", f_r, ShoelaceArray(12, budgets[0])),
+            purcell=ResonatorRecord(f"p{k}", "purcell", f_p, ShoelaceArray(12, budgets[1])),
+        ))
+    return entries
+
+
+def plan_or_error(plan, *args):
+    try:
+        return plan(*args)
+    except ResotrimError as exc:
+        return type(exc)
+
+
+class TestCrowdingModeTable:
+    """The mode table changes how often the modes are solved, never the plan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=crowded_feedlines(),
+           guard_band=st.one_of(st.none(), st.floats(0.0, 40e6)))
+    def test_plans_match_the_per_combination_search(self, entries, guard_band):
+        got = plan_or_error(plan_crowding, entries, guard_band, NU_RHO)
+        want = plan_or_error(reference_crowding, entries, guard_band, NU_RHO)
+        if isinstance(want, tuple):
+            want, choice = want
+            # the score, bit for bit, with its mismatches summed in pair order
+            gb = 20e6 if guard_band is None else guard_band
+            assert (_crowding_objective(entries, choice, gb)
+                    == reference_objective(entries, choice, gb))
+        assert got == want
+
+    def test_mismatches_are_summed_in_pair_order(self):
+        # at GHz every mismatch is a multiple of 2^-20 Hz and any order sums
+        # exactly; here 1 + 2^-53 rounds to 1 twice, while 2^-53 + 2^-53 + 1
+        # is 1 + 2^-52, so only the pair order gives 1.0
+        entries = crowding_entries([(1.0, 2.0), (0.5, 0.5 + 2**-53), (0.5, 0.5 + 2**-53)])
+        shift = eq2_shift_fn(NU_RHO)
+        zero = [(_action(e.readout, 0, shift), _action(e.purcell, 0, shift)) for e in entries]
+        (_, mismatch, _), _ = _crowding_objective(entries, zero, 20e6)
+        assert mismatch == 1.0
+        assert _crowding_objective(entries, zero, 20e6) == reference_objective(entries, zero, 20e6)
+
+    @pytest.mark.parametrize("guard_band", [20e6, None], ids=["given", "default"])
+    @pytest.mark.parametrize("n_pairs", [3, 6])
+    def test_modes_are_solved_once_per_candidate(self, monkeypatch, n_pairs, guard_band):
+        entries = crowding_entries([(7.3e9 + 15e6 * k, 7.3e9 + 15e6 * k + 4e6)
+                                    for k in range(n_pairs)])
+        shift = eq2_shift_fn(NU_RHO)
+        n_candidates = sum(len(_pair_candidates(e, NU_RHO, shift)) for e in entries)
+        calls = []
+        solve = pairmodel.eigenmodes
+        monkeypatch.setattr(pairmodel, "eigenmodes",
+                            lambda *args: calls.append(args) or solve(*args))
+        plan_crowding(entries, guard_band=guard_band, nu_rho=NU_RHO)
+        # one per candidate and one per untrimmed pair, plus one per pair for
+        # the default guard band
+        assert len(calls) <= n_candidates + n_pairs * (1 if guard_band else 2)
 
 
 class TestPlanMatchAll:

@@ -124,6 +124,19 @@ class TestAssignmentFidelity:
         with pytest.raises(EstimationError):
             assignment_fidelity(shots)
 
+    @pytest.mark.parametrize("i, q, labels, match", [
+        # the label-1 sum overflows, so its mean is inf
+        ([0.0, 1e308, 1.7e308], [0.0, 0.0, 0.0], [0, 1, 1], "means"),
+        # finite means 3.4e308 apart: the axis between them overflows
+        ([-1.7e308, 1.7e308], [0.0, 0.0], [0, 1], "axis"),
+        # means (0, 0) and (1, 1); the diagonal axis takes (1.7e308, 1.7e308) to 2.4e308
+        ([0.0, 1.7e308, -1.7e308, 3.0], [0.0, 1.7e308, -1.7e308, 3.0], [0, 1, 1, 1],
+         "projection"),
+    ], ids=["mean", "axis", "projection"])
+    def test_refuses_shots_it_cannot_project(self, i, q, labels, match):
+        with pytest.raises(EstimationError, match=match):
+            assignment_fidelity(ShotSet(i=i, q=q, labels=labels))
+
     @pytest.mark.parametrize("labels", [[0, 0, 1, 1], [0, 1, 0, 1]])
     def test_split_between_equal_projections_is_no_threshold(self, labels):
         # the two middle shots project to 1.0 with different labels: no
