@@ -22,20 +22,6 @@ class InvalidParamsError(ResotrimError):
     category = "invalid-params"
 
 
-class OutOfRangeError(ResotrimError):
-    """Requested trim exceeds the remaining shoelace range."""
-
-    category = "out-of-range"
-
-    def __init__(self, message, max_shift):
-        super().__init__(message)
-        self.max_shift = max_shift
-
-
-class UnmatchableError(ResotrimError):
-    category = "unmatchable"
-
-
 class UnderdeterminedError(ResotrimError):
     category = "underdetermined"
 

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import pairmodel
-from .errors import (
-    DomainError,
-    OutOfRangeError,
-    UnderdeterminedError,
-    UnmatchableError,
-    ValidationError,
-)
+from .errors import DomainError, UnderdeterminedError, ValidationError
 
 __all__ = [
     "ShoelaceArray",
@@ -39,7 +33,6 @@ __all__ = [
     "freq_shift",
     "linear_shift_fn",
     "eq2_shift_fn",
-    "shift_to_count",
     "plan_pair_match",
     "plan_match_all",
     "plan_crowding",
@@ -64,8 +57,8 @@ class ShoelaceArray:
     def __post_init__(self):
         if not (0 <= self.remaining <= self.total):
             raise DomainError("remaining must be in [0, total]")
-        if self.pitch <= 0:
-            raise DomainError("pitch must be positive")
+        if not 0 < self.pitch < math.inf:
+            raise DomainError("pitch must be finite and positive")
 
 
 @dataclass
@@ -78,8 +71,8 @@ class ResonatorRecord:
     def __post_init__(self):
         if self.role not in ("readout", "purcell"):
             raise DomainError(f"unknown resonator role {self.role!r}")
-        if self.f_meas <= 0:
-            raise DomainError("f_meas must be positive")
+        if not 0 < self.f_meas < math.inf:
+            raise DomainError("f_meas must be finite and positive")
 
 
 # slots: a feedline plan keeps two actions per pair, and each one without a
@@ -157,28 +150,6 @@ def linear_shift_fn(slope=NAIVE_SLOPE):
     return lambda f0, delta_l: slope * delta_l
 
 
-def shift_to_count(f0, nu_rho, target_shift, remaining, pitch=DEFAULT_PITCH, shift_fn=None):
-    """Shoelace count whose predicted shift best matches target_shift.
-
-    Ties round toward fewer removals. Raises OutOfRangeError when the
-    requested shift exceeds the full remaining range by more than half a
-    trim quantum; the error carries the maximum achievable shift.
-    """
-    if target_shift > 0:
-        raise DomainError("target_shift must be <= 0 (removal only lowers f)")
-    if shift_fn is None:
-        shift_fn = eq2_shift_fn(nu_rho)
-    quantum = abs(shift_fn(f0, pitch))
-    max_shift = shift_fn(f0, remaining * pitch)
-    if abs(target_shift) > abs(max_shift) + 0.5 * quantum:
-        raise OutOfRangeError(
-            f"requested shift {target_shift:.3e} Hz exceeds remaining range "
-            f"{max_shift:.3e} Hz",
-            max_shift=max_shift,
-        )
-    return _closest_count(lambda n: shift_fn(f0, n * pitch), target_shift, remaining)
-
-
 def _closest_count(landing, target, remaining):
     """Count in [0, remaining] whose landing(n) is closest to target.
 
@@ -208,31 +179,37 @@ def _action(record, n, shift_fn):
     )
 
 
+def _shift_model(nu_rho, shift_fn):
+    """``shift_fn`` if given, else the Eq. 2 predictor at ``nu_rho``."""
+    if shift_fn is not None:
+        return shift_fn
+    if nu_rho is None:
+        raise DomainError("provide nu_rho or shift_fn")
+    return eq2_shift_fn(nu_rho)
+
+
+def _match(r, p, shift_fn):
+    """(action, high, low): the count that brings the higher resonator of a
+    pair closest to the lower one, within its remaining shoelaces."""
+    if r.role != "readout" or p.role != "purcell":
+        raise DomainError("expected (readout, purcell) records")
+    high, low = (p, r) if p.f_meas >= r.f_meas else (r, p)
+    n = _closest_count(
+        lambda k: high.f_meas + shift_fn(high.f_meas, k * high.shoelaces.pitch),
+        low.f_meas, high.shoelaces.remaining,
+    )
+    return _action(high, n, shift_fn), high, low
+
+
 def plan_pair_match(r, p, nu_rho, shift_fn=None):
     """Trim the higher resonator of a pair to minimize |f_P - f_R|.
 
     Downward-only moves can only close the gap from above, so the action
     always targets whichever resonator currently sits higher. A gap
-    already within half a trim quantum yields a zero-removal action.
+    already within half a trim quantum, or a resonator with no shoelaces
+    left, yields a zero-removal action.
     """
-    if r.role != "readout" or p.role != "purcell":
-        raise DomainError("expected (readout, purcell) records")
-    if shift_fn is None:
-        shift_fn = eq2_shift_fn(nu_rho)
-    high, low = (p, r) if p.f_meas >= r.f_meas else (r, p)
-    gap = high.f_meas - low.f_meas
-    quantum = abs(shift_fn(high.f_meas, high.shoelaces.pitch))
-    if gap <= 0.5 * quantum:
-        return _action(high, 0, shift_fn)
-    if high.shoelaces.remaining == 0:
-        raise UnmatchableError(
-            f"{high.id} has no shoelaces left and the gap is {gap:.3e} Hz"
-        )
-    n = _closest_count(
-        lambda k: high.f_meas + shift_fn(high.f_meas, k * high.shoelaces.pitch),
-        low.f_meas, high.shoelaces.remaining,
-    )
-    return _action(high, n, shift_fn)
+    return _match(r, p, _shift_model(nu_rho, shift_fn))[0]
 
 
 def _pair_candidates(entry, nu_rho, shift_fn):
@@ -340,10 +317,7 @@ def plan_crowding(pairs, guard_band=None, nu_rho=None, shift_fn=None, cycle_inde
     """
     if not pairs:
         raise DomainError("need at least one pair")
-    if shift_fn is None:
-        if nu_rho is None:
-            raise DomainError("provide nu_rho or shift_fn")
-        shift_fn = eq2_shift_fn(nu_rho)
+    shift_fn = _shift_model(nu_rho, shift_fn)
     if guard_band is None:
         widths = []
         for e in pairs:
@@ -398,8 +372,11 @@ def fit_nu_rho(samples):
         raise UnderdeterminedError("need at least one sample with delta_l > 0")
     a = np.array([freq_shift(f0, 1.0, dl) for f0, dl, _ in usable])
     y = np.array([df for _, _, df in usable])
-    inv_nu = float(a @ y / (a @ a))
-    if inv_nu <= 0:
+    if not np.isfinite(y).all():
+        raise DomainError("delta_f must be finite")
+    with np.errstate(all="ignore"):  # an overflow is refused just below
+        inv_nu = float(a @ y / (a @ a))
+    if not 0 < inv_nu < math.inf:
         raise UnderdeterminedError("samples imply a non-physical phase velocity")
     resid = y - a * inv_nu
     return 1.0 / inv_nu, float(np.sqrt(np.mean(resid**2)))
@@ -480,12 +457,10 @@ def plan_match_all(pairs, nu_rho, shift_fn, cycle_index):
     A pair whose predicted |f_P - f_R| stays above half the trim quantum
     of its trimmed resonator makes the plan infeasible, with a note.
     """
-    if shift_fn is None:
-        shift_fn = eq2_shift_fn(nu_rho)
+    shift_fn = _shift_model(nu_rho, shift_fn)
     actions, notes, gaps_after = [], [], []
     for r, p in pairs:
-        a = plan_pair_match(r, p, nu_rho, shift_fn)
-        high, low = (r, p) if a.resonator_id == r.id else (p, r)
+        a, high, low = _match(r, p, shift_fn)
         gaps_after.append(abs(a.predicted_f - low.f_meas))
         if gaps_after[-1] > 0.5 * abs(shift_fn(high.f_meas, high.shoelaces.pitch)) * (1 + 1e-9):
             notes.append(f"{high.id} cannot be matched to {low.id}: "

@@ -63,7 +63,8 @@ def asymptotic_fq(e_j, e_c):
 
 
 def _ej_seed(f_q, e_c):
-    """E_J at which :func:`asymptotic_fq` equals f_q; inf, which _newton refuses, on overflow."""
+    """E_J at which :func:`asymptotic_fq` equals f_q; inf on overflow and 0 on
+    underflow, which _newton refuses."""
     return (f_q + e_c) * (f_q + e_c) / (8.0 * e_c)
 
 
@@ -74,7 +75,9 @@ def _newton(residual, energies):
     non-finite step, a spectrum outside its domain or cutoff, and no
     convergence within NEWTON_MAX_STEPS are each an InversionError.
     """
-    x, step = np.log(energies), np.inf
+    with np.errstate(divide="ignore"):  # a seed of 0 becomes -inf, refused as a 0 energy
+        x = np.log(energies)
+    step = np.inf
     try:
         for _ in range(NEWTON_MAX_STEPS):
             r = np.array(residual(*map(math.exp, x)))

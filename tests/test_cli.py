@@ -350,6 +350,22 @@ class TestPlanAndApply:
         assert [(a["resonator_id"], a["n_remove"]) for a in doc["actions"]] == [("p0", 10)]
         assert not doc["feasible"]
         assert doc["notes"] == ["p0 cannot be matched to r0: predicted residual 1.000e+08 Hz"]
+        # a resonator with no shoelaces left: plan pair marks it, plan crowding plans around it
+        reg = small_registry(reg_path, [(7.30e9, 7.33e9), (7.305e9, 7.305e9)])
+        reg.resonators["p0"].shoelaces.remaining = 0
+        save_registry(reg, reg_path)
+        result = runner.invoke(main, ["plan", "pair", "--registry", str(reg_path),
+                                      "--all-pairs", "--nu-rho", str(NU_RHO)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert not doc["feasible"]
+        assert doc["notes"] == ["p0 cannot be matched to r0: predicted residual 3.000e+07 Hz"]
+        result = runner.invoke(main, ["plan", "crowding", "--registry", str(reg_path),
+                                      "--feedline", "fl0", "--guard-band", "20e6",
+                                      "--nu-rho", str(NU_RHO)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["actions"] and {a["resonator_id"] for a in doc["actions"]} == {"r1", "p1"}
 
     def test_plan_crowding_runs(self, runner, tmp_path):
         reg_path = tmp_path / "reg.json"

@@ -10,13 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resotrim.errors import (
-    DomainError,
-    OutOfRangeError,
-    ResotrimError,
-    UnderdeterminedError,
-    UnmatchableError,
-)
+from resotrim.errors import DomainError, ResotrimError, UnderdeterminedError
 from resotrim import pairmodel
 from resotrim.pairmodel import PairParams
 from resotrim.planner import (
@@ -35,7 +29,6 @@ from resotrim.planner import (
     plan_crowding,
     plan_match_all,
     plan_pair_match,
-    shift_to_count,
     simulate_outcomes,
     two_cycle_protocol,
     velocity_samples,
@@ -83,12 +76,25 @@ class TestFreqShift:
             linear_shift_fn(2e12)
 
 
+def pair_count(f_low, f_high, remaining=10, pitch=DEFAULT_PITCH, model=None):
+    """Shoelaces plan_pair_match removes from a Purcell resonator at f_high
+    to bring it closest to a readout resonator at f_low."""
+    high = ResonatorRecord(id="h", role="purcell", f_meas=f_high,
+                           shoelaces=ShoelaceArray(total=remaining, remaining=remaining,
+                                                   pitch=pitch))
+    action = plan_pair_match(record("l", "readout", f_low), high, NU_RHO, model)
+    assert action.resonator_id == "h"
+    return action.n_remove
+
+
 class TestShiftToCount:
+    """The one count rule: the gap of a pair to the closest count in the budget."""
+
     def test_zero_target(self):
-        assert shift_to_count(7.5e9, NU_RHO, 0.0, remaining=10) == 0
+        assert pair_count(7.5e9, 7.5e9) == 0
 
     def test_two_shoelaces_for_21_mhz(self):
-        n = shift_to_count(7.5e9, NU_RHO, -21e6, remaining=10)
+        n = pair_count(7.479e9, 7.5e9)
         assert n == 2
         # exhaustive oracle over the whole range
         errs = [abs(freq_shift(7.5e9, NU_RHO, k * DEFAULT_PITCH) + 21e6) for k in range(11)]
@@ -97,24 +103,13 @@ class TestShiftToCount:
     def test_exhaustive_agreement_random(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            target = -rng.uniform(0, 100e6)
-            n = shift_to_count(7.5e9, NU_RHO, target, remaining=10)
+            f_low = 7.5e9 - rng.uniform(0, 100e6)
+            n = pair_count(f_low, 7.5e9)
             errs = [
-                abs(freq_shift(7.5e9, NU_RHO, k * DEFAULT_PITCH) - target)
+                abs(7.5e9 + freq_shift(7.5e9, NU_RHO, k * DEFAULT_PITCH) - f_low)
                 for k in range(11)
             ]
             assert errs[n] == pytest.approx(min(errs), abs=1e-6)
-
-    def test_out_of_range_carries_max_shift(self):
-        with pytest.raises(OutOfRangeError) as exc:
-            shift_to_count(7.5e9, NU_RHO, -150e6, remaining=10)
-        assert exc.value.max_shift == pytest.approx(
-            freq_shift(7.5e9, NU_RHO, 10 * DEFAULT_PITCH)
-        )
-
-    def test_rejects_positive_target(self):
-        with pytest.raises(DomainError):
-            shift_to_count(7.5e9, NU_RHO, 1e6, remaining=10)
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -127,6 +122,7 @@ class TestShiftToCount:
                         st.floats(0.0, 65.0)),
     )
     def test_matches_the_full_count_scan(self, f0, model, pitch, remaining, steps):
+        # a gap beyond the budget, or any gap with no budget, clamps to the budget
         def full_scan(landing, target):
             best_n, best_err = 0, abs(landing(0) - target)
             tol = 1e-12 * max(1.0, best_err)
@@ -138,17 +134,9 @@ class TestShiftToCount:
 
         quantum = abs(model(f0, pitch))
         assume(quantum >= 1.0)
-        target = -min(steps, remaining + 0.25) * quantum
-        assert shift_to_count(f0, None, target, remaining, pitch, model) == full_scan(
-            lambda n: model(f0, n * pitch), target)
-        high = ResonatorRecord(id="h", role="purcell", f_meas=f0 - target,
-                               shoelaces=ShoelaceArray(total=remaining, remaining=remaining,
-                                                       pitch=pitch))
-        low = record("l", "readout", f0)
-        if high.f_meas - low.f_meas > 0.5 * abs(model(high.f_meas, pitch)) and remaining:
-            action = plan_pair_match(low, high, None, model)
-            assert action.n_remove == full_scan(
-                lambda n: high.f_meas + model(high.f_meas, n * pitch), low.f_meas)
+        f_high = f0 + steps * quantum
+        assert pair_count(f0, f_high, remaining, pitch, model) == full_scan(
+            lambda n: f_high + model(f_high, n * pitch), f0)
 
 
 class TestPlanPairMatch:
@@ -175,8 +163,15 @@ class TestPlanPairMatch:
     def test_unmatchable_without_shoelaces(self):
         r = record("r1", "readout", 7.5e9)
         p = record("p1", "purcell", 7.53e9, remaining=0)
-        with pytest.raises(UnmatchableError):
-            plan_pair_match(r, p, NU_RHO)
+        a = plan_pair_match(r, p, NU_RHO)
+        assert (a.resonator_id, a.n_remove, a.predicted_f) == ("p1", 0, 7.53e9)
+
+    def test_requires_velocity_or_shift_fn(self):
+        r, p = record("r1", "readout", 7.5e9), record("p1", "purcell", 7.53e9)
+        for plan in (lambda: plan_pair_match(r, p, None),
+                     lambda: plan_match_all([(r, p)], None, None, 1)):
+            with pytest.raises(DomainError, match="provide nu_rho or shift_fn"):
+                plan()
 
     def test_role_check(self):
         r = record("r1", "readout", 7.5e9)
@@ -256,6 +251,14 @@ class TestPlanCrowding:
         plan = plan_crowding(entries, guard_band=20e6, nu_rho=NU_RHO)
         assert not plan.feasible
         assert plan.notes
+
+    def test_plans_around_an_unmatchable_pair(self):
+        # p0 has no shoelaces left for its 30 MHz gap; its mismatch only counts
+        entries = crowding_entries([(7.30e9, 7.33e9), (7.305e9, 7.305e9)])
+        entries[0].purcell.shoelaces.remaining = 0
+        plan = plan_crowding(entries, guard_band=20e6, nu_rho=NU_RHO)
+        assert [(a.resonator_id, a.n_remove) for a in plan.actions] == [("r1", 4), ("p1", 4)]
+        assert plan.feasible and plan.objective_after >= 20e6
 
     def test_requires_velocity_or_shift_fn(self):
         entries = crowding_entries([(7.5e9, 7.5e9)])
@@ -503,6 +506,24 @@ class TestNonFiniteArguments:
             return
         assert 0 <= guard_band < math.inf
         assert math.isfinite(plan.objective_before) and math.isfinite(plan.objective_after)
+
+    # finite shifts whose least-squares sums overflow imply no finite velocity
+    @pytest.mark.parametrize("delta_f, error", [
+        (math.nan, DomainError), (-math.inf, DomainError), (math.inf, DomainError),
+        (-1.7e308, UnderdeterminedError)])
+    def test_velocity_fit(self, delta_f, error):
+        with pytest.raises(error):
+            fit_nu_rho([(7.5e9, 5e-6, delta_f), (7.5e9, 5e-6, delta_f), (7.6e9, 5e-6, -10e6)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_resonator_frequency(self, value):
+        with pytest.raises(DomainError, match="f_meas"):
+            ResonatorRecord(id="r0", role="readout", f_meas=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_shoelace_pitch(self, value):
+        with pytest.raises(DomainError, match="pitch"):
+            ShoelaceArray(pitch=value)
 
 
 class TestFitNuRho:
