@@ -378,8 +378,13 @@ def fit_nu_rho(samples):
         inv_nu = float(a @ y / (a @ a))
     if not 0 < inv_nu < math.inf:
         raise UnderdeterminedError("samples imply a non-physical phase velocity")
-    resid = y - a * inv_nu
-    return 1.0 / inv_nu, float(np.sqrt(np.mean(resid**2)))
+    with np.errstate(over="ignore"):  # a residual that overflows has an infinite rms
+        resid = y - a * inv_nu
+        rms = float(np.sqrt(np.mean(resid**2)))
+    scale = float(np.max(np.abs(resid)))
+    if rms == math.inf and scale < math.inf:  # only the squares overflow: rescale them
+        rms = scale * float(np.sqrt(np.mean((resid / scale) ** 2)))
+    return 1.0 / inv_nu, rms
 
 
 def _plan_totals(plan):

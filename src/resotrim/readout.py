@@ -17,6 +17,8 @@ __all__ = [
     "depletion_time",
 ]
 
+SCAN_BINS = 2048  # bins of the threshold scan; the result does not depend on the count
+
 
 @dataclass(frozen=True)
 class BlobModel:
@@ -29,8 +31,8 @@ class BlobModel:
     mean2: tuple | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError("sigma must be positive and finite")
         if not 0.0 <= self.leak_prob <= 1.0:
             raise DomainError("leak_prob must be in [0, 1]")
         if self.leak_prob > 0 and self.mean2 is None:
@@ -99,27 +101,27 @@ def synth_shots(model, n_per_state, seed):
 def assignment_fidelity(shots):
     """Average assignment fidelity via the optimal 1-d threshold.
 
-    Shots are projected on the axis joining the per-label means. The
-    label-0 and the label-1 projections are each sorted once and the two
-    sorted runs merged, and the threshold scan over the midpoints between
-    consecutive sorted projections maximizes the average correct-assignment
+    Shots are projected on the axis joining the per-label means, and
+    :func:`_scan` finds the threshold between consecutive sorted
+    projections that maximizes the average correct-assignment
     probability. A split between two equal projections is not a threshold
     and scores nothing, so the result does not depend on the shot order.
     Raises EstimationError when a label mean, the axis or a projection
     overflows.
     """
-    is0 = shots.labels == 0
-    n = len(is0)
-    n0 = int(np.count_nonzero(is0))
-    n1 = n - n0  # ShotSet admits only labels 0 and 1
+    labels = shots.labels
+    n1 = int(np.count_nonzero(labels))
+    n0 = len(labels) - n1  # ShotSet admits only labels 0 and 1
     if n0 == 0 or n1 == 0:
         raise EstimationError("both prepared states are required")
     pts = np.column_stack([shots.i, shots.q])
     # overflow is reported below as an EstimationError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        mu0 = pts.compress(is0, axis=0).mean(axis=0)
-        mu1 = pts.compress(~is0, axis=0).mean(axis=0)
-        axis = mu1 - mu0
+        # per-label sums in shot order, as a mean over the label's rows adds them
+        counts = np.array([n0, n1])
+        mu_i = np.bincount(labels, weights=shots.i, minlength=2) / counts
+        mu_q = np.bincount(labels, weights=shots.q, minlength=2) / counts
+        axis = np.array([mu_i[1] - mu_i[0], mu_q[1] - mu_q[0]])
         norm = np.linalg.norm(axis)  # not finite if a mean or the axis is not
         if not np.isfinite(norm):
             raise EstimationError("the label means or the axis between them overflow")
@@ -130,34 +132,64 @@ def assignment_fidelity(shots):
         x = pts @ axis
     if not np.isfinite(x).all():
         raise EstimationError("a shot's projection on the axis overflows")
-
-    # each label sorted once, in place; a stable argsort of the two runs is
-    # a linear merge, and its indices below n0 are the label-0 shots
-    runs = np.empty(n)
-    x.compress(is0, out=runs[:n0]).sort()
-    x.compress(~is0, out=runs[n0:]).sort()
-    order = np.argsort(runs, kind="stable")
-    xs = runs[order]
-    # cum0[k]: zeros among the first k sorted shots (assigned 0 if threshold
-    # sits after position k); correct = cum0[k]/n0 + (ones above k)/n1
-    cum0 = np.concatenate([[0], np.cumsum(order < n0)])
-    cum1 = np.arange(n + 1) - cum0
-    correct = cum0 / n0 + (n1 - cum1) / n1  # over split positions 0..n
-    correct[1:-1][xs[1:] == xs[:-1]] = -np.inf
-    k = int(np.argmax(correct))
-    f_ro = float(correct[k] / 2.0)
-    if k == 0:
-        threshold = xs[0] - 1.0
-    elif k == n:
-        threshold = xs[-1] + 1.0
-    else:
-        threshold = 0.5 * (xs[k - 1] + xs[k])
+    best, threshold = _scan(x, labels, n0)
+    f_ro = float(best / 2.0)
     return ReadoutBenchmarks(
         f_ro=f_ro,
         eps_ro=1.0 - f_ro,
         threshold=float(threshold),
         axis=(float(axis[0]), float(axis[1])),
     )
+
+
+def _scan(x, labels, n0, bins=SCAN_BINS):
+    """(score, threshold) of the first best split of the sorted projections.
+
+    Sorted by projection, the split after k shots assigns them 0 and
+    scores cum0/n0 + (n1 - cum1)/n1, with cum0 and cum1 the zeros and ones
+    among them; a split between equal projections scores -inf. The
+    projections fall into ``bins`` equal bins between their min and max,
+    and prefix counts score every split at a bin edge exactly. A split
+    inside a bin scores at most the bin's zeros added and none of its
+    ones, and the score is monotone in both counts, also after rounding;
+    so only the bins whose bound reaches the best edge score are sorted.
+    They hold every split that can score the best, and both neighbours of
+    each best edge, so any bin count gives the same result.
+    """
+    n1 = len(x) - n0
+    lo, hi = float(x.min()), float(x.max())
+    scale = bins / (hi - lo) if hi > lo else math.inf
+    if 0 < scale < math.inf:
+        # a monotone map, so equal projections share a bin and the bins keep
+        # their order; (x - lo) * scale rounds to at most ``bins``, so the
+        # keys run from 0 to ``bins``
+        key = ((x - lo) * scale).astype(np.intp)
+        bins += 1
+    else:  # all projections equal, or a span that overflows: one bin, a full sort
+        bins = 1
+        key = np.zeros(len(x), np.intp)
+    key *= 2
+    key += labels
+    counts = np.bincount(key, minlength=2 * bins).reshape(bins, 2)
+    edge = np.concatenate([[[0, 0]], np.cumsum(counts, axis=0)])  # (zeros, ones) below each edge
+    best = np.max(edge[:, 0] / n0 + (n1 - edge[:, 1]) / n1)
+    window = edge[1:, 0] / n0 + (n1 - edge[:-1, 1]) / n1 >= best  # the bins to sort
+    # per bin in the window, the (zeros, ones) of the bins below it outside the window
+    below = np.cumsum(np.where(window[:, None], 0, counts), axis=0)
+    picked = np.flatnonzero(np.repeat(window, 2)[key])
+    xs, ls, bs = x[picked], labels[picked], key[picked] >> 1
+    order = np.argsort(xs)  # any order within a tie: splits inside one score -inf
+    xs, ls, bs = xs[order], ls[order], bs[order]
+    # the split below every shot, then the split after each sorted shot but the last
+    cum0 = np.cumsum(ls[:-1] == 0) + below[bs[:-1], 0]
+    cum1 = np.cumsum(ls[:-1]) + below[bs[:-1], 1]
+    correct = np.concatenate([[1.0], cum0 / n0 + (n1 - cum1) / n1])
+    correct[1:][xs[1:] == xs[:-1]] = -np.inf
+    # splits before and after every shot both score 1.0, so the first
+    # best split is never the one above every shot
+    k = int(np.argmax(correct))
+    threshold = lo - 1.0 if k == 0 else 0.5 * (xs[k - 1] + xs[k])
+    return correct[k], threshold
 
 
 def pqnd(m1, m2):

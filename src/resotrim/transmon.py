@@ -29,18 +29,23 @@ DEFAULT_CUTOFF = 30
 TRANSMON_RATIO_FLOOR = 20.0
 EDGE_POPULATION_TOL = 1e-10  # largest third-level population at the charge-basis edge
 INVERSION_TOL_HZ = 1e3  # largest f_q and alpha residuals of invert_spectroscopy
-NEWTON_DX = 1e-8  # forward-difference step in log energy
 NEWTON_STEP_TOL = 1e-10  # Newton stops once a step moves no log energy by more than this
 NEWTON_MAX_STEPS = 50
 
 
-def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF):
+def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF, jacobian=False):
     """Qubit frequency and anharmonicity from charge-basis diagonalization.
 
     The Hamiltonian is diagonal 4 E_c n^2 with off-diagonal -E_J/2 over
     n in [-cutoff, cutoff]. It is even in n, so its even block over n >= 0
     holds levels 0 and 2 and its odd block level 1. Returns (f_q, alpha)
     in Hz. Raises CutoffError when level 2 has weight at the basis edge.
+
+    With ``jacobian``, returns (f_q, alpha, jac) with jac the Jacobian of
+    (f_q, alpha) in (ln E_J, ln E_c), from the same eigen-solves.
+    Hellmann-Feynman gives E_c dE/dE_c = 4 E_c <n^2> for each level. The
+    Hamiltonian is homogeneous of degree 1 in (E_J, E_c), and so are f_q
+    and alpha, so E_J df/dE_J = f - E_c df/dE_c.
     """
     # levels lie within 4 E_c cutoff^2 + 2 E_J of zero (Gershgorin): this keeps alpha finite
     if not (0 < e_j and 0 < e_c and 16.0 * e_c * cutoff**2 + 8.0 * e_j < math.inf):
@@ -50,11 +55,21 @@ def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF):
     even = np.diag(4.0 * e_c * np.arange(cutoff + 1.0) ** 2) + np.diag([-e_j / 2.0] * cutoff, 1)
     even[0, 1] *= math.sqrt(2.0)  # n = 0 couples to (|1> + |-1>)/sqrt(2)
     vals, vecs = np.linalg.eigh(even, UPLO="U")
-    odd = np.linalg.eigvalsh(even[1:, 1:], UPLO="U")
     edge = vecs[-1, 1] ** 2  # the even vector's last entry is shared by n = +-cutoff
     if edge > EDGE_POPULATION_TOL:
         raise CutoffError(f"cutoff {cutoff} too small: edge population {edge:.2e}; increase it")
-    return float(odd[0] - vals[0]), float(vals[1] - 2.0 * odd[0] + vals[0])
+    if jacobian:
+        odd, odd_vecs = np.linalg.eigh(even[1:, 1:], UPLO="U")
+    else:
+        odd = np.linalg.eigvalsh(even[1:, 1:], UPLO="U")
+    f_q, alpha = float(odd[0] - vals[0]), float(vals[1] - 2.0 * odd[0] + vals[0])
+    if not jacobian:
+        return f_q, alpha
+    charging = even.diagonal()  # 4 E_c n^2, n from 0 (odd block: from 1) to cutoff
+    c0, c2 = (vecs[:, :2] ** 2).T @ charging  # E_c dE/dE_c of levels 0 and 2
+    c1 = odd_vecs[:, 0] ** 2 @ charging[1:]  # and of level 1
+    d_fq, d_alpha = c1 - c0, c2 - 2.0 * c1 + c0
+    return f_q, alpha, np.array([[f_q - d_fq, d_fq], [alpha - d_alpha, d_alpha]])
 
 
 def asymptotic_fq(e_j, e_c):
@@ -71,20 +86,19 @@ def _ej_seed(f_q, e_c):
 def _newton(residual, energies):
     """(energies, residuals) where ``residual`` vanishes, by Newton on log energies.
 
-    The Jacobian is a forward difference. A singular Jacobian, a
-    non-finite step, a spectrum outside its domain or cutoff, and no
-    convergence within NEWTON_MAX_STEPS are each an InversionError.
+    ``residual(*energies)`` returns the residuals and their Jacobian in
+    the log energies. A singular Jacobian, a non-finite step, a spectrum
+    outside its domain or cutoff, and no convergence within
+    NEWTON_MAX_STEPS are each an InversionError.
     """
     with np.errstate(divide="ignore"):  # a seed of 0 becomes -inf, refused as a 0 energy
         x = np.log(energies)
     step = np.inf
     try:
         for _ in range(NEWTON_MAX_STEPS):
-            r = np.array(residual(*map(math.exp, x)))
+            r, jac = residual(*map(math.exp, x))
             if np.max(np.abs(step)) <= NEWTON_STEP_TOL:
                 return list(map(math.exp, x)), r
-            jac = np.column_stack([np.array(residual(*map(math.exp, x + NEWTON_DX * e))) - r
-                                   for e in np.eye(len(x))]) / NEWTON_DX
             step = np.linalg.solve(jac, -r)
             if not np.all(np.isfinite(step)):
                 raise InversionError("non-finite Newton step")
@@ -97,9 +111,10 @@ def _newton(residual, energies):
 def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF):
     """Recover (e_j, e_c) from measured (f_q, alpha), both in Hz.
 
-    Newton's method on :func:`transmon_spectrum` from the closed-form
-    seed e_c = -alpha, e_j = _ej_seed(f_q, -alpha); both residuals must
-    end below ``INVERSION_TOL_HZ``.
+    Newton's method on :func:`transmon_spectrum` and its Hellmann-Feynman
+    Jacobian, from the closed-form seed e_c = -alpha,
+    e_j = _ej_seed(f_q, -alpha); both residuals must end below
+    ``INVERSION_TOL_HZ``.
     """
     if not (math.inf > f_q > -alpha > 0):
         raise DomainError("need a finite f_q, alpha < 0 and |alpha| below f_q")
@@ -112,8 +127,8 @@ def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF):
                              f"{TRANSMON_RATIO_FLOOR}; no transmon-regime solution")
 
     def residual(ej, ec):
-        fq_m, a_m = transmon_spectrum(ej, ec, cutoff)
-        return fq_m - f_q, a_m - alpha
+        fq_m, a_m, jac = transmon_spectrum(ej, ec, cutoff, jacobian=True)
+        return np.array([fq_m - f_q, a_m - alpha]), jac
 
     (e_j, e_c), res = _newton(residual, [e_j0, e_c0])
     if max(abs(res[0]), abs(res[1])) > INVERSION_TOL_HZ:
@@ -126,8 +141,11 @@ def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF):
 
 def _ej_from_fq(f_q, e_c, cutoff=DEFAULT_CUTOFF):
     """1-d inversion of the spectrum at fixed charging energy."""
-    (e_j,), _ = _newton(lambda ej: [transmon_spectrum(ej, e_c, cutoff)[0] - f_q],
-                        [_ej_seed(f_q, e_c)])
+    def residual(ej):
+        fq_m, _, jac = transmon_spectrum(ej, e_c, cutoff, jacobian=True)
+        return np.array([fq_m - f_q]), jac[:1, :1]
+
+    (e_j,), _ = _newton(residual, [_ej_seed(f_q, e_c)])
     return e_j
 
 
@@ -164,6 +182,8 @@ class AnnealConfig:
     max_cycles_per_power: int = 200
 
     def __post_init__(self):
+        if not (0 < self.r_start < math.inf and 0 < self.r_target < math.inf):
+            raise DomainError("r_start and r_target must be positive and finite")
         if self.r_target <= self.r_start:
             raise DomainError("r_target must exceed the starting resistance")
         if not self.power_schedule:
@@ -231,9 +251,6 @@ def anneal_closed_loop(config, response):
     target_ratio = config.r_target / config.r_start
     trace = AnnealTrace()
     ratio = 1.0
-    if ratio >= target_ratio:
-        trace.status = "success"
-        return trace
     for power in config.power_schedule:
         dt = config.initial_exposure
         points = []

@@ -562,6 +562,12 @@ class TestFitNuRho:
         with pytest.raises(UnderdeterminedError):
             fit_nu_rho([(7.5e9, 0.0, 0.0)])
 
+    def test_residual_rms_whose_squares_overflow(self):
+        # residuals of +-5e199 square past the float range; their rms does not
+        nu, resid = fit_nu_rho([(7.5e9, 5e-6, -1e200), (7.5e9, 5e-6, -1.0)])
+        assert 0 < nu < math.inf
+        assert resid == pytest.approx(5e199, rel=1e-12)
+
 
 def synthetic_device(n_pairs, seed, f_lo=7.6e9, f_hi=8.0e9):
     """Pairs with random mismatches; the readout sits below its Purcell."""

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -15,12 +15,14 @@ from resotrim.errors import (
 )
 from resotrim.pairmodel import kappa_eff_pair
 from resotrim.readout import (
+    SCAN_BINS,
     BlobModel,
     ReadoutBenchmarks,
     ShotSet,
     assignment_fidelity,
     depletion_time,
     pqnd,
+    _scan,
     synth_shots,
 )
 
@@ -67,6 +69,11 @@ class TestSynthShots:
         p = norm.cdf(-2.0)
         se = math.sqrt(p * (1 - p) / 1_000_000)
         assert abs(wrong0 - p) < 3 * se
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            BlobModel(mean0=(0, 0), mean1=(1, 0), sigma=sigma)
 
     def test_model_validation(self):
         with pytest.raises(DomainError):
@@ -180,6 +187,45 @@ class TestAssignmentFidelity:
         scores = [(x0 <= v).mean() + (x1 > v).mean() for v in np.unique(x)] + [1.0]
         assert bench.f_ro == pytest.approx(max(scores) / 2.0, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_windowed_scan_matches_a_full_sort(self, data):
+        n = data.draw(st.integers(1, 60))
+        x = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), float)
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                                    .filter(lambda ls: 0 < sum(ls) < n)))
+        n0 = int((labels == 0).sum())
+        want = _full_sort_scan(x, labels)
+        for bins in (1, 2, 3, 7):
+            assert _scan(x, labels, n0, bins) == want
+
+    @pytest.mark.parametrize("bins", [1, 2, 3, 7, SCAN_BINS])
+    def test_no_threshold_above_every_shot(self, bins):
+        # the splits below and above every shot both score 1.0, and the
+        # first best split wins, so the threshold above every shot never does
+        x, labels = np.array([0.0, 1.0, 1.0, 2.0]), np.array([1, 0, 1, 0])
+        assert _full_sort_scan(x, labels) == (1.0, -1.0)
+        assert _scan(x, labels, 2, bins) == (1.0, -1.0)
+
+
+def _full_sort_scan(x, labels):
+    """(score, threshold) of the first best split, from one stable sort of
+    every projection, label 0 first among equal ones."""
+    n0 = int((labels == 0).sum())
+    n1 = len(x) - n0
+    order = np.lexsort((labels, x))
+    xs = x[order]
+    cum0 = np.concatenate([[0], np.cumsum(labels[order] == 0)])
+    cum1 = np.arange(len(x) + 1) - cum0
+    correct = cum0 / n0 + (n1 - cum1) / n1
+    correct[1:-1][xs[1:] == xs[:-1]] = -np.inf
+    k = int(np.argmax(correct))
+    if k == 0:
+        return correct[k], xs[0] - 1.0
+    if k == len(x):
+        return correct[k], xs[-1] + 1.0
+    return correct[k], 0.5 * (xs[k - 1] + xs[k])
+
 
 def _one_stable_argsort_scan(shots):
     """The threshold scan as one stable argsort over all projections, with
@@ -272,6 +318,18 @@ class TestPqnd:
         with pytest.raises(UndefinedConditionalError) as exc:
             pqnd(np.array([0, 0]), np.array([0, 0]))
         assert exc.value.condition == "m2=1"
+
+    def test_no_m2_zero_shots_named(self):
+        with pytest.raises(UndefinedConditionalError, match="m2=0") as exc:
+            pqnd(np.array([0, 1]), np.array([1, 1]))
+        assert exc.value.condition == "m2=0"
+
+    @pytest.mark.parametrize("m1, m2", [
+        ([0, 1], [1]), ([[0, 1]], [[1, 0]]), ([], []), (0, 1),
+    ], ids=["unequal", "two-dimensional", "empty", "scalar"])
+    def test_refuses_shapes_it_cannot_count(self, m1, m2):
+        with pytest.raises(DomainError, match="equal-length non-empty"):
+            pqnd(m1, m2)
 
 
 class TestDepletionTime:

@@ -81,6 +81,32 @@ class TestTransmonSpectrum:
         assert alpha == pytest.approx(levels[2] - 2.0 * levels[1] + levels[0], rel=1e-10)
 
 
+class TestSpectrumJacobian:
+    @settings(max_examples=100, deadline=None)
+    @given(e_c=st.floats(50e6, 1e9), ratio=st.floats(20.0, 150.0))
+    def test_matches_a_central_difference(self, e_c, ratio):
+        e_j, h = ratio * e_c, 1e-5
+        f_q, alpha, jac = transmon_spectrum(e_j, e_c, 40, jacobian=True)
+        assert (f_q, alpha) == pytest.approx(transmon_spectrum(e_j, e_c, 40), rel=1e-12)
+        for col, (dj, dc) in enumerate(((h, 0.0), (0.0, h))):
+            up = transmon_spectrum(e_j * math.exp(dj), e_c * math.exp(dc), 40)
+            down = transmon_spectrum(e_j * math.exp(-dj), e_c * math.exp(-dc), 40)
+            for row in range(2):
+                assert jac[row, col] == pytest.approx((up[row] - down[row]) / (2 * h), rel=1e-6)
+
+    def test_newton_solves_the_spectrum_once_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return transmon_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(transmon, "transmon_spectrum", counted)
+        e_j, e_c = invert_spectroscopy(6.0e9, -300e6)
+        rj_target(6000.0, 6.0e9, 5.9e9, e_c)
+        assert len(calls) <= 16
+
+
 class TestInvertSpectroscopy:
     def test_round_trip_fixed_case(self):
         f_q, alpha = 6.0e9, -300e6
@@ -190,16 +216,18 @@ class TestRjTarget:
             rj_target(6000.0, 6.0e9, f_target, e_c)
 
     def test_non_finite_spectrum_is_an_inversion_error(self, monkeypatch):
-        monkeypatch.setattr(transmon, "transmon_spectrum", lambda *args: (math.nan, math.nan))
+        monkeypatch.setattr(transmon, "transmon_spectrum",
+                            lambda *args, jacobian: (math.nan, math.nan, np.full((2, 2), math.nan)))
         with pytest.raises(InversionError):
             rj_target(6000.0, 6.0e9, 5.9e9, 300e6)
 
     def test_step_cap_is_an_inversion_error(self, monkeypatch):
         # f_q - 6 GHz ~ sign(d) sqrt|d| in d = log(E_J / 16 GHz): Newton
         # jumps between d and -d and never converges
-        def spectrum(e_j, e_c, cutoff):
+        def spectrum(e_j, e_c, cutoff, jacobian):
             d = math.log(e_j / 16e9)
-            return 6.0e9 + math.copysign(1e9 * math.sqrt(abs(d)), d), -e_c
+            jac = [[1e9 / (2.0 * math.sqrt(abs(d))), 0.0], [0.0, -e_c]]
+            return 6.0e9 + math.copysign(1e9 * math.sqrt(abs(d)), d), -e_c, np.array(jac)
 
         monkeypatch.setattr(transmon, "transmon_spectrum", spectrum)
         with pytest.raises(InversionError, match="no convergence"):
@@ -324,6 +352,15 @@ class TestAnnealLoop:
         assert trace.model_violations == 1
         rs = trace.resistances()
         assert all(b >= a for a, b in zip(rs, rs[1:]))
+
+    @pytest.mark.parametrize("r_start, r_target", [
+        (-5.0, 6060.0), (0.0, 6060.0), (math.nan, 6060.0), (6000.0, math.nan),
+        (6000.0, math.inf), (-math.inf, 6060.0),
+    ])
+    def test_config_refuses_impossible_resistances(self, r_start, r_target):
+        with pytest.raises(DomainError, match="positive and finite"):
+            AnnealConfig(r_start=r_start, r_target=r_target, exposure_threshold=100.0,
+                         power_schedule=[0.17])
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
