@@ -81,8 +81,10 @@ def correct_baseline(trace):
     """Remove electrical delay and constant complex gain.
 
     The outer wings of the span are assumed resonance-free: a linear
-    phase (delay) is fitted per wing, the amplitude gain is the wing
-    mean. A warning is attached (correction still applied) when the wing
+    phase (delay) is fitted per wing by closed-form least squares about
+    the wing's centre, and the amplitude gain is the wing mean. The phase
+    offset is that of the wing points with the delay rotated out. A
+    warning is attached (correction still applied) when the wing
     amplitude scatter suggests a resonance leaking into the wings.
     """
     if len(trace) < 8:
@@ -91,18 +93,19 @@ def correct_baseline(trace):
     k = max(2, int(round(len(f) * WING_FRACTION)))
     slopes = []
     for sl in (slice(0, k), slice(len(f) - k, None)):
+        df = f[sl] - f[sl].mean()
         phase = np.unwrap(np.angle(z[sl]))
-        slopes.append(np.polyfit(f[sl], phase, 1)[0])
+        slopes.append(df @ (phase - phase.mean()) / (df @ df))
     tau = -np.mean(slopes) / (2.0 * np.pi)
 
     mask = np.r_[:k, len(f) - k:len(f)]  # both wings
-    rotated = z * np.exp(2j * np.pi * f * tau)
-    gain = float(np.mean(np.abs(z[mask])))
-    phi0 = float(np.angle(np.mean(rotated[mask])))
-    background = gain * np.exp(1j * phi0) * np.exp(-2j * np.pi * f * tau)
+    wings = np.abs(z[mask])
+    gain = float(np.mean(wings))
+    phi0 = float(np.angle(np.mean(z[mask] * np.exp(2j * np.pi * tau * f[mask]))))
+    background = gain * np.exp(1j * (phi0 - 2.0 * np.pi * tau * f))
 
     warnings = list(trace.warnings)
-    scatter = float(np.std(np.abs(z[mask])) / max(gain, 1e-300))
+    scatter = float(np.std(wings) / max(gain, 1e-300))
     if scatter > WING_SCATTER_LIMIT:
         warnings.append("baseline-unreliable: wing amplitude variance above threshold")
     return replace(trace, freqs=f.copy(), values=z / background, warnings=warnings)
@@ -228,7 +231,9 @@ def _model_and_jacobian(theta, f):
     """Full-model S21, absent loss rates zero, and its complex Jacobian wrt theta."""
     values, scale = _values(theta)
     s, d = _s21(f, *values, n_jac=len(theta))
-    return s, np.stack(d, axis=1) * scale
+    d = np.array(d)  # one row per parameter
+    d *= scale[:, None]
+    return s, d.T
 
 
 def _pack(guess, n, kappa_floor):
@@ -239,10 +244,9 @@ def _pack(guess, n, kappa_floor):
 
 
 def _residuals(theta, f, z):
+    """Real residuals and Jacobian: each point's real then imaginary part, as views."""
     s, jac_c = _model_and_jacobian(theta, f)
-    r = np.concatenate([(s - z).real, (s - z).imag])
-    jac = np.concatenate([jac_c.real, jac_c.imag], axis=0)
-    return r, jac
+    return (s - z).view(float), jac_c.T.view(float).T
 
 
 def _guess_variants(guess):

@@ -90,19 +90,20 @@ def _s21(f, f_r, f_p, j, kappa, g_r=0.0, g_p=0.0, n_jac=0):
     t_p = g_p + 2j * (f_p - f) + kappa
     num = 0.5 * kappa * t_r
     den = 4.0 * j**2 + t_p * t_r
-    s = 1.0 - num / den
     if not n_jac:
-        return s
-    den2 = den**2
+        return 1.0 - num / den
+    # d(num/den) = d num * inv - a * d den, with inv = 1/den and a = num/den^2: no division by den^2
+    inv = 1.0 / den
+    a = num * inv * inv
     partials = [
-        -((0.5 * kappa * 2j) * den - num * (t_p * 2j)) / den2,
-        num * (2j * t_r) / den2,
-        num * 8.0 * j / den2,
-        -((0.5 * t_r) * den - num * t_r) / den2,
+        a * (2j * t_p) - (1j * kappa) * inv,
+        a * (2j * t_r),
+        (8.0 * j) * a,
+        a * t_r - 0.5 * t_r * inv,
     ]
     if n_jac > 4:
-        partials += [-((0.5 * kappa) * den - num * t_p) / den2, num * t_r / den2]
-    return s, partials
+        partials += [a * t_p - (0.5 * kappa) * inv, a * t_r]
+    return 1.0 - num * inv, partials
 
 
 def s21_ideal(f, p):

@@ -54,8 +54,8 @@ class ShotSet:
             raise DomainError("i, q and labels must be one-dimensional")
         if not (len(self.i) == len(self.q) == len(labels)):
             raise DomainError("i, q and labels must have equal lengths")
-        bad = ~(np.isfinite(self.i) & np.isfinite(self.q))
-        if bad.any():
+        if not (np.isfinite(self.i).all() and np.isfinite(self.q).all()):
+            bad = ~(np.isfinite(self.i) & np.isfinite(self.q))
             raise DomainError(f"i and q must be finite; shot {int(bad.argmax())} is not")
         # checked before the cast, which would turn 0.7 into 0
         if labels.dtype.kind not in "biuf":
@@ -98,6 +98,20 @@ def synth_shots(model, n_per_state, seed):
     return ShotSet(i=pts[:, 0], q=pts[:, 1], labels=labels, leaked=leaked)
 
 
+def _points(i, q):
+    """The (n, 2) array whose columns are i and q.
+
+    When i and q are the two columns of one C-contiguous float64 array,
+    as :func:`synth_shots` makes them, that array itself; otherwise a copy.
+    """
+    pts = i.base
+    if (isinstance(pts, np.ndarray) and pts.dtype == np.float64 and pts.shape == (len(i), 2)
+            and pts.flags.c_contiguous and i.strides == q.strides == (16,)
+            and i.ctypes.data == pts.ctypes.data and q.ctypes.data == pts.ctypes.data + 8):
+        return pts
+    return np.column_stack([i, q])
+
+
 def assignment_fidelity(shots):
     """Average assignment fidelity via the optimal 1-d threshold.
 
@@ -106,22 +120,27 @@ def assignment_fidelity(shots):
     projections that maximizes the average correct-assignment
     probability. A split between two equal projections is not a threshold
     and scores nothing, so the result does not depend on the shot order.
-    Raises EstimationError when a label mean, the axis or a projection
-    overflows.
+    The four per-label sums come from one weighted ``np.bincount`` over
+    the (n, 2) points, which adds each label's values in shot order, and
+    the points are not copied when i and q are the columns of one (n, 2)
+    array. Raises EstimationError when a label mean, the axis or a
+    projection overflows.
     """
     labels = shots.labels
     n1 = int(np.count_nonzero(labels))
     n0 = len(labels) - n1  # ShotSet admits only labels 0 and 1
     if n0 == 0 or n1 == 0:
         raise EstimationError("both prepared states are required")
-    pts = np.column_stack([shots.i, shots.q])
+    pts = _points(shots.i, shots.q)
+    key = np.empty(pts.shape, np.intp)  # 2 label + column
+    np.multiply(labels, 2, out=key[:, 0])
+    np.add(key[:, 0], 1, out=key[:, 1])
     # overflow is reported below as an EstimationError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # per-label sums in shot order, as a mean over the label's rows adds them
-        counts = np.array([n0, n1])
-        mu_i = np.bincount(labels, weights=shots.i, minlength=2) / counts
-        mu_q = np.bincount(labels, weights=shots.q, minlength=2) / counts
-        axis = np.array([mu_i[1] - mu_i[0], mu_q[1] - mu_q[0]])
+        # rows: label; columns: i, q
+        mu = np.bincount(key.ravel(), weights=pts.ravel(), minlength=4).reshape(2, 2)
+        mu /= np.array([[n0], [n1]])
+        axis = mu[1] - mu[0]
         norm = np.linalg.norm(axis)  # not finite if a mean or the axis is not
         if not np.isfinite(norm):
             raise EstimationError("the label means or the axis between them overflow")
@@ -152,9 +171,10 @@ def _scan(x, labels, n0, bins=SCAN_BINS):
     and prefix counts score every split at a bin edge exactly. A split
     inside a bin scores at most the bin's zeros added and none of its
     ones, and the score is monotone in both counts, also after rounding;
-    so only the bins whose bound reaches the best edge score are sorted.
-    They hold every split that can score the best, and both neighbours of
-    each best edge, so any bin count gives the same result.
+    so only the bins from the first to the last whose bound reaches the
+    best edge score are sorted. They hold every split that can score the
+    best, and both neighbours of each best edge, so any bin count gives
+    the same result.
     """
     n1 = len(x) - n0
     lo, hi = float(x.min()), float(x.max())
@@ -173,16 +193,15 @@ def _scan(x, labels, n0, bins=SCAN_BINS):
     counts = np.bincount(key, minlength=2 * bins).reshape(bins, 2)
     edge = np.concatenate([[[0, 0]], np.cumsum(counts, axis=0)])  # (zeros, ones) below each edge
     best = np.max(edge[:, 0] / n0 + (n1 - edge[:, 1]) / n1)
-    window = edge[1:, 0] / n0 + (n1 - edge[:-1, 1]) / n1 >= best  # the bins to sort
-    # per bin in the window, the (zeros, ones) of the bins below it outside the window
-    below = np.cumsum(np.where(window[:, None], 0, counts), axis=0)
-    picked = np.flatnonzero(np.repeat(window, 2)[key])
-    xs, ls, bs = x[picked], labels[picked], key[picked] >> 1
+    window = np.flatnonzero(edge[1:, 0] / n0 + (n1 - edge[:-1, 1]) / n1 >= best)
+    a, b = window[0], window[-1] + 1  # sort the bins from the first to the last in the window
+    picked = np.flatnonzero((key >= 2 * a) & (key < 2 * b))
+    xs, ls = x[picked], labels[picked]
     order = np.argsort(xs)  # any order within a tie: splits inside one score -inf
-    xs, ls, bs = xs[order], ls[order], bs[order]
+    xs, ls = xs[order], ls[order]
     # the split below every shot, then the split after each sorted shot but the last
-    cum0 = np.cumsum(ls[:-1] == 0) + below[bs[:-1], 0]
-    cum1 = np.cumsum(ls[:-1]) + below[bs[:-1], 1]
+    cum0 = np.cumsum(ls[:-1] == 0) + edge[a, 0]
+    cum1 = np.cumsum(ls[:-1]) + edge[a, 1]
     correct = np.concatenate([[1.0], cum0 / n0 + (n1 - cum1) / n1])
     correct[1:][xs[1:] == xs[:-1]] = -np.inf
     # splits before and after every shot both score 1.0, so the first

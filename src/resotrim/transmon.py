@@ -42,7 +42,10 @@ def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF, jacobian=False):
     in Hz. Raises CutoffError when level 2 has weight at the basis edge.
 
     With ``jacobian``, returns (f_q, alpha, jac) with jac the Jacobian of
-    (f_q, alpha) in (ln E_J, ln E_c), from the same eigen-solves.
+    (f_q, alpha) in (ln E_J, ln E_c), from one batched eigh that solves
+    both blocks with their eigenvectors; the odd block sits in rows 1.. of
+    the second matrix, under a decoupled row 0 whose diagonal
+    2 (4 E_c cutoff^2 + E_J) lies above every odd level (Gershgorin).
     Hellmann-Feynman gives E_c dE/dE_c = 4 E_c <n^2> for each level. The
     Hamiltonian is homogeneous of degree 1 in (E_J, E_c), and so are f_q
     and alpha, so E_J df/dE_J = f - E_c df/dE_c.
@@ -52,22 +55,27 @@ def transmon_spectrum(e_j, e_c, cutoff=DEFAULT_CUTOFF, jacobian=False):
         raise DomainError("e_j and e_c must be positive and finite, with a finite spectrum")
     if cutoff < 10:
         raise DomainError("cutoff must be at least 10")
-    even = np.diag(4.0 * e_c * np.arange(cutoff + 1.0) ** 2) + np.diag([-e_j / 2.0] * cutoff, 1)
-    even[0, 1] *= math.sqrt(2.0)  # n = 0 couples to (|1> + |-1>)/sqrt(2)
-    vals, vecs = np.linalg.eigh(even, UPLO="U")
+    n = cutoff + 1
+    h = np.zeros((2 if jacobian else 1, n, n))
+    flat = h.reshape(len(h), n * n)
+    flat[:, ::n + 1] = 4.0 * e_c * np.arange(n + 0.0) ** 2  # the diagonal
+    flat[:, 1::n + 1] = -e_j / 2.0  # and the one above it
+    h[0, 0, 1] *= math.sqrt(2.0)  # n = 0 couples to (|1> + |-1>)/sqrt(2)
+    if jacobian:
+        h[1, 0, :2] = 2.0 * (4.0 * e_c * cutoff**2 + e_j), 0.0
+        (vals, odd), (vecs, odd_vecs) = np.linalg.eigh(h, UPLO="U")
+    else:
+        vals, vecs = np.linalg.eigh(h[0], UPLO="U")
+        odd = np.linalg.eigvalsh(h[0, 1:, 1:], UPLO="U")
     edge = vecs[-1, 1] ** 2  # the even vector's last entry is shared by n = +-cutoff
     if edge > EDGE_POPULATION_TOL:
         raise CutoffError(f"cutoff {cutoff} too small: edge population {edge:.2e}; increase it")
-    if jacobian:
-        odd, odd_vecs = np.linalg.eigh(even[1:, 1:], UPLO="U")
-    else:
-        odd = np.linalg.eigvalsh(even[1:, 1:], UPLO="U")
     f_q, alpha = float(odd[0] - vals[0]), float(vals[1] - 2.0 * odd[0] + vals[0])
     if not jacobian:
         return f_q, alpha
-    charging = even.diagonal()  # 4 E_c n^2, n from 0 (odd block: from 1) to cutoff
+    charging = h[0].diagonal()  # 4 E_c n^2 for n from 0 to cutoff; 0 on the decoupled row
     c0, c2 = (vecs[:, :2] ** 2).T @ charging  # E_c dE/dE_c of levels 0 and 2
-    c1 = odd_vecs[:, 0] ** 2 @ charging[1:]  # and of level 1
+    c1 = odd_vecs[:, 0] ** 2 @ charging  # and of level 1
     d_fq, d_alpha = c1 - c0, c2 - 2.0 * c1 + c0
     return f_q, alpha, np.array([[f_q - d_fq, d_fq], [alpha - d_alpha, d_alpha]])
 
@@ -78,31 +86,41 @@ def asymptotic_fq(e_j, e_c):
 
 
 def _ej_seed(f_q, e_c):
-    """E_J at which :func:`asymptotic_fq` equals f_q; inf on overflow and 0 on
-    underflow, which _newton refuses."""
-    return (f_q + e_c) * (f_q + e_c) / (8.0 * e_c)
+    """E_J at which the large-ratio expansion one order past :func:`asymptotic_fq`,
+    f_q = sqrt(8 E_J E_c) - E_c - E_c / (4 sqrt(E_J / 2 E_c)), gives f_q.
+
+    That is Koch et al., PRA 76, 042319, Eq. 2.11, continued by Abramowitz
+    & Stegun 20.2.30. It is a quadratic in sqrt(E_J), and its positive
+    root is taken. Returns inf on overflow and 0 on underflow, which
+    _newton refuses.
+    """
+    s = (f_q + e_c + math.hypot(f_q + e_c, 2.0 * e_c)) / (2.0 * math.sqrt(8.0 * e_c))
+    return s * s
 
 
 def _newton(residual, energies):
     """(energies, residuals) where ``residual`` vanishes, by Newton on log energies.
 
     ``residual(*energies)`` returns the residuals and their Jacobian in
-    the log energies. A singular Jacobian, a non-finite step, a spectrum
-    outside its domain or cutoff, and no convergence within
+    the log energies. Newton returns the energies after the first step
+    that moves no log energy by more than NEWTON_STEP_TOL, without
+    evaluating ``residual`` there; the residuals it returns are those of
+    the last evaluation, one step earlier, so they are at most about the
+    Jacobian times that step. A singular Jacobian, a non-finite step, a
+    spectrum outside its domain or cutoff, and no convergence within
     NEWTON_MAX_STEPS are each an InversionError.
     """
     with np.errstate(divide="ignore"):  # a seed of 0 becomes -inf, refused as a 0 energy
         x = np.log(energies)
-    step = np.inf
     try:
         for _ in range(NEWTON_MAX_STEPS):
             r, jac = residual(*map(math.exp, x))
-            if np.max(np.abs(step)) <= NEWTON_STEP_TOL:
-                return list(map(math.exp, x)), r
             step = np.linalg.solve(jac, -r)
             if not np.all(np.isfinite(step)):
                 raise InversionError("non-finite Newton step")
             x = x + step
+            if np.max(np.abs(step)) <= NEWTON_STEP_TOL:
+                return list(map(math.exp, x)), r
     except (CutoffError, DomainError, OverflowError, np.linalg.LinAlgError) as exc:
         raise InversionError(f"no transmon solution from {energies}: {exc}") from exc
     raise InversionError(f"no convergence in {NEWTON_MAX_STEPS} Newton steps")
@@ -112,25 +130,31 @@ def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF):
     """Recover (e_j, e_c) from measured (f_q, alpha), both in Hz.
 
     Newton's method on :func:`transmon_spectrum` and its Hellmann-Feynman
-    Jacobian, from the closed-form seed e_c = -alpha,
-    e_j = _ej_seed(f_q, -alpha); both residuals must end below
-    ``INVERSION_TOL_HZ``.
+    Jacobian. The seed comes from the large-ratio expansion one order past
+    :func:`asymptotic_fq`: e_c from alpha = -e_c (1 + 9 / (16 sqrt(q)))
+    with q = e_j / 2 e_c at the leading-order e_j, then e_j = _ej_seed(f_q, e_c).
+    Both residuals must end below ``INVERSION_TOL_HZ``. They are those of
+    the last Newton evaluation, one step of at most ``NEWTON_STEP_TOL``
+    before the returned energies, so they are about the Jacobian times
+    that step: near 1 Hz at GHz frequencies, and above the tolerance only
+    for f_q of order 1e13 Hz and more, far outside the transmon regime.
     """
     if not (math.inf > f_q > -alpha > 0):
         raise DomainError("need a finite f_q, alpha < 0 and |alpha| below f_q")
     e_c0 = -alpha
-    e_j0 = _ej_seed(f_q, e_c0)
-    # the seed underestimates the true ratio near the floor, so only clearly
-    # non-transmon inputs are rejected here; the solution meets the exact floor below
+    e_j0 = (f_q + e_c0) * (f_q + e_c0) / (8.0 * e_c0)  # where asymptotic_fq is f_q
+    # the leading-order seed underestimates the true ratio near the floor, so only
+    # clearly non-transmon inputs are rejected here; the solution meets the exact floor below
     if e_j0 / e_c0 < 0.5 * TRANSMON_RATIO_FLOOR:
         raise InversionError(f"seed ratio {e_j0 / e_c0:.1f} far below transmon floor "
                              f"{TRANSMON_RATIO_FLOOR}; no transmon-regime solution")
+    e_c1 = e_c0 / (1.0 + 9.0 / (16.0 * math.sqrt(e_j0 / (2.0 * e_c0))))
 
     def residual(ej, ec):
         fq_m, a_m, jac = transmon_spectrum(ej, ec, cutoff, jacobian=True)
         return np.array([fq_m - f_q, a_m - alpha]), jac
 
-    (e_j, e_c), res = _newton(residual, [e_j0, e_c0])
+    (e_j, e_c), res = _newton(residual, [_ej_seed(f_q, e_c1), e_c1])
     if max(abs(res[0]), abs(res[1])) > INVERSION_TOL_HZ:
         raise InversionError(f"inversion residuals {res[0]:.1f}, {res[1]:.1f} Hz above "
                              f"{INVERSION_TOL_HZ:.0f} Hz")

@@ -800,6 +800,14 @@ MALFORMED_INVOCATIONS = {
                           "--registry", "{reg}", "--pair", "pair9"], "validation"),
     "cycle-negative": (["fit-nu-rho", "--registry", "{reg}", "--cycle", "-1"], "usage"),
     "cycle-zero": (["fit-nu-rho", "--registry", "{reg}", "--cycle", "0"], "usage"),
+    "plan-no-slope": (["plan", "pair", "--registry", "{reg}", "--all-pairs"], "validation"),
+    "plan-pair-and-all-pairs": (["plan", "pair", "--registry", "{reg}", "--pair", "pair0",
+                                 "--all-pairs", "--naive-slope"], "validation"),
+    "plan-no-pair": (["plan", "pair", "--registry", "{reg}", "--naive-slope"], "validation"),
+    "plan-unknown-pair": (["plan", "pair", "--registry", "{reg}", "--pair", "ghost",
+                           "--naive-slope"], "validation"),
+    "crowding-unknown-feedline": ([*CROWDING, "--feedline", "nope", "--naive-slope"],
+                                  "validation"),
 }
 
 

@@ -91,6 +91,28 @@ class TestCorrectBaseline:
         out = correct_baseline(dirty)
         assert np.max(np.abs(out.values - 1.0)) < 1e-6
 
+    def test_refuses_fewer_than_eight_points(self):
+        f = np.linspace(7.4e9, 7.6e9, 7)
+        with pytest.raises(InvalidTraceError, match="too few points"):
+            correct_baseline(TransmissionTrace(freqs=f, values=np.exp(-2j * np.pi * f * 20e-9)))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_matches_per_wing_polyfit(self, noise):
+        p = PairParams(f_r=7.5e9, f_p=7.503e9, j=10e6, kappa=3e6)
+        tr = make_trace(p, span=1e8, n=801, noise=noise, seed=4)
+        dirty = TransmissionTrace(
+            freqs=tr.freqs, values=tr.values * 0.8 * np.exp(-2j * np.pi * tr.freqs * 41e-9 + 0.3j))
+        # the same model as correct_baseline, with np.polyfit slopes per wing
+        f, z = dirty.freqs, dirty.values
+        k = round(len(f) * fitting.WING_FRACTION)
+        wings = [slice(0, k), slice(len(f) - k, None)]
+        tau = -np.mean([np.polyfit(f[w], np.unwrap(np.angle(z[w])), 1)[0] for w in wings]) / (2 * np.pi)
+        mask = np.r_[:k, len(f) - k:len(f)]
+        rotated = z * np.exp(2j * np.pi * f * tau)
+        background = (np.mean(np.abs(z[mask])) * np.exp(1j * np.angle(np.mean(rotated[mask])))
+                      * np.exp(-2j * np.pi * f * tau))
+        np.testing.assert_allclose(correct_baseline(dirty).values, z / background, rtol=0, atol=1e-9)
+
     def test_resonant_wings_flagged(self):
         # a span barely wider than the resonance leaks it into the wings
         p = PairParams(f_r=7.5e9, f_p=7.5e9, j=10e6, kappa=20e6)
@@ -106,6 +128,17 @@ class TestInitialGuess:
         )
         with pytest.raises(NoResonanceError):
             initial_guess(tr)
+
+    def test_one_dip_seeds_a_near_matched_pair(self):
+        f = np.linspace(7.45e9, 7.55e9, 801)
+        half = 1e6  # half linewidth of one notch at 7.5 GHz, 0.6 deep
+        tr = TransmissionTrace(freqs=f, values=1.0 - 0.6 * half / (half + 1j * (f - 7.5e9)))
+        g = initial_guess(tr)
+        assert g.f_r == g.f_p
+        assert abs(g.f_r - 7.5e9) <= f[1] - f[0]
+        assert g.j == g.kappa / 4.0
+        # half depth, 0.3, where |S21|^2 = (0.4^2 + x^2) / (1 + x^2) = 0.7^2 at x = df / half
+        assert abs(g.kappa - 2.0 * half * np.sqrt(0.33 / 0.51)) < f[1] - f[0]
 
     def test_matched_pair_seed(self):
         p = PairParams(f_r=7.5e9, f_p=7.5e9, j=10e6, kappa=2e6)

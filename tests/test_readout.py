@@ -13,6 +13,7 @@ from resotrim.errors import (
     EstimationError,
     UndefinedConditionalError,
 )
+from resotrim import readout
 from resotrim.pairmodel import kappa_eff_pair
 from resotrim.readout import (
     SCAN_BINS,
@@ -187,6 +188,36 @@ class TestAssignmentFidelity:
         scores = [(x0 <= v).mean() + (x1 > v).mean() for v in np.unique(x)] + [1.0]
         assert bench.f_ro == pytest.approx(max(scores) / 2.0, abs=1e-12)
 
+    @given(st.data())
+    def test_same_result_for_every_layout_of_i_and_q(self, data):
+        n = data.draw(st.integers(2, 50))
+        coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+        pts = np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                           .filter(lambda ls: 0 < sum(ls) < n))
+        wide = np.zeros((n, 3))
+        wide[:, 1:] = pts
+        fortran = np.asfortranarray(pts)
+        layouts = [
+            (pts[:, 0], pts[:, 1]),  # the columns of one (n, 2) array: projected in place
+            (pts[:, 0].copy(), pts[:, 1].copy()),
+            (wide[:, 1], wide[:, 2]),
+            (fortran[:, 0], fortran[:, 1]),
+        ]
+        assert readout._points(*layouts[0]) is pts
+        want = assignment_fidelity(ShotSet(*layouts[1], labels=labels))
+        # the label means add their shots in shot order, one after another
+        means = np.array([[_sum_in_order(pts[np.array(labels) == k, c]) / labels.count(k)
+                           for c in (0, 1)] for k in (0, 1)])
+        axis = means[1] - means[0]
+        if np.linalg.norm(axis) > 0:
+            assert want.axis == tuple(axis / np.linalg.norm(axis))
+        for i, q in layouts:
+            assert assignment_fidelity(ShotSet(i=i, q=q, labels=labels)) == want
+        # the two columns of one array, but q first: not the array itself
+        swapped = np.ascontiguousarray(pts[:, ::-1])
+        assert assignment_fidelity(ShotSet(i=swapped[:, 1], q=swapped[:, 0], labels=labels)) == want
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_windowed_scan_matches_a_full_sort(self, data):
@@ -206,6 +237,13 @@ class TestAssignmentFidelity:
         x, labels = np.array([0.0, 1.0, 1.0, 2.0]), np.array([1, 0, 1, 0])
         assert _full_sort_scan(x, labels) == (1.0, -1.0)
         assert _scan(x, labels, 2, bins) == (1.0, -1.0)
+
+
+def _sum_in_order(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _full_sort_scan(x, labels):

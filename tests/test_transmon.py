@@ -139,6 +139,25 @@ class TestInvertSpectroscopy:
         with pytest.raises((InversionError, DomainError)):
             invert_spectroscopy(2.0e9, -1.5e9)
 
+    def test_refuses_a_seed_ratio_below_half_the_floor(self):
+        # the spectrum of E_J / E_c = 19 seeds a ratio of 9.0 at leading order
+        with pytest.raises(InversionError, match="seed ratio 9.0 far below"):
+            invert_spectroscopy(*transmon_spectrum(19 * 250e6, 250e6))
+
+    def test_refuses_a_solution_ratio_below_the_floor(self, monkeypatch):
+        # a spectrum that needs twice the true E_J: the data of E_J / E_c = 30
+        # pass the seed check and solve to a ratio of 15
+        true = transmon_spectrum
+        monkeypatch.setattr(transmon, "transmon_spectrum",
+                            lambda e_j, e_c, cutoff, jacobian: true(2 * e_j, e_c, cutoff, jacobian))
+        with pytest.raises(InversionError, match="solution ratio 15.0 below"):
+            invert_spectroscopy(*true(30 * 250e6, 250e6))
+
+    def test_refuses_residuals_above_the_tolerance(self):
+        # at 1e15 Hz a last Newton step of 1e-10 in log energy leaves kHz residuals
+        with pytest.raises(InversionError, match="inversion residuals .* above 1000 Hz"):
+            invert_spectroscopy(1e15, -1.2e14)
+
     @settings(max_examples=200, deadline=None)
     @given(f_q=st.floats(1e6, 1e12), alpha=st.floats(-1e11, -1e3),
            cutoff=st.integers(10, 40))
