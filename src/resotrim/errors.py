@@ -10,6 +10,7 @@ with status 2.
 class ResotrimError(Exception):
     category = "error"
     details = ()  # the lines under ``category: message`` that locate the fault
+    fields = ()  # a record's refusal: (field, rest of the line) per fault; see resotrim.rules
 
 
 class DomainError(ResotrimError):

@@ -15,11 +15,7 @@ from .errors import InvalidTraceError, NoResonanceError
 from .pairmodel import PairParams, _s21
 
 __all__ = [
-    "TransmissionTrace",
-    "FitResult",
-    "correct_baseline",
-    "initial_guess",
-    "fit_pair",
+    "TransmissionTrace", "FitResult", "correct_baseline", "initial_guess", "fit_pair",
 ]
 
 MIN_FIT_POINTS = 16
@@ -63,13 +59,8 @@ class FitResult:
 
     def as_dict(self):
         return {
-            "f_r_hz": self.params.f_r,
-            "f_p_hz": self.params.f_p,
-            "j_hz": self.params.j,
-            "kappa_hz": self.params.kappa,
-            "gamma_r_hz": self.params.gamma_r,
-            "gamma_p_hz": self.params.gamma_p,
-            "kappa_drive_hz": self.params.kappa_drive,
+            **{f"{name}_hz": getattr(self.params, name) for name in PairParams.RULES
+               if name != "chi"},
             "residual_rms": self.residual_rms,
             "converged": self.converged,
             "iterations": self.iterations,

@@ -11,16 +11,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, InvalidParamsError
+from .rules import FINITE, NON_NEGATIVE, POSITIVE, check
 
 __all__ = [
-    "PairParams",
-    "ModeDescriptor",
-    "s21_ideal",
-    "s21_full",
-    "kappa_eff_pair",
-    "eigenmodes",
-    "readout_photon_fraction",
-    "matching_figure",
+    "PairParams", "ModeDescriptor", "s21_ideal", "s21_full", "kappa_eff_pair", "eigenmodes",
+    "readout_photon_fraction", "matching_figure",
 ]
 
 
@@ -43,13 +38,12 @@ class PairParams:
     kappa_drive: float = 0.0
     chi: float = 0.0
 
+    RULES = {"f_r": POSITIVE, "f_p": POSITIVE, "j": POSITIVE, "kappa": POSITIVE,
+             "gamma_r": NON_NEGATIVE, "gamma_p": NON_NEGATIVE, "kappa_drive": NON_NEGATIVE,
+             "chi": FINITE}
+
     def __post_init__(self):
-        if not (self.f_r > 0 and self.f_p > 0):
-            raise InvalidParamsError("resonator frequencies must be positive")
-        if not (self.j > 0 and self.kappa > 0):
-            raise InvalidParamsError("j and kappa must be positive")
-        if min(self.gamma_r, self.gamma_p, self.kappa_drive) < 0:
-            raise InvalidParamsError("loss rates must be non-negative")
+        check(self, InvalidParamsError)
 
     @property
     def delta_pr(self):

@@ -18,29 +18,13 @@ import numpy as np
 
 from . import pairmodel
 from .errors import DomainError, UnderdeterminedError, ValidationError
+from .rules import COUNT, NON_NEGATIVE, POSITIVE, STR, Field, check, number, refuse
 
 __all__ = [
-    "ShoelaceArray",
-    "ResonatorRecord",
-    "TrimAction",
-    "TrimPlan",
-    "AppliedTrim",
-    "PairEntry",
-    "TwoCycleResult",
-    "NAIVE_SLOPE",
-    "DEFAULT_PITCH",
-    "DEFAULT_TOTAL",
-    "freq_shift",
-    "linear_shift_fn",
-    "eq2_shift_fn",
-    "plan_pair_match",
-    "plan_match_all",
-    "plan_crowding",
-    "fit_nu_rho",
-    "apply_plan",
-    "velocity_samples",
-    "simulate_outcomes",
-    "two_cycle_protocol",
+    "ShoelaceArray", "ResonatorRecord", "TrimAction", "TrimPlan", "AppliedTrim", "PairEntry",
+    "TwoCycleResult", "NAIVE_SLOPE", "DEFAULT_PITCH", "DEFAULT_TOTAL", "freq_shift",
+    "linear_shift_fn", "eq2_shift_fn", "plan_pair_match", "plan_match_all", "plan_crowding",
+    "fit_nu_rho", "apply_plan", "velocity_samples", "simulate_outcomes", "two_cycle_protocol",
 ]
 
 DEFAULT_PITCH = 5e-6  # m
@@ -54,11 +38,12 @@ class ShoelaceArray:
     remaining: int = DEFAULT_TOTAL
     pitch: float = DEFAULT_PITCH
 
+    RULES = {"total": COUNT, "remaining": COUNT, "pitch": POSITIVE}
+
     def __post_init__(self):
-        if not (0 <= self.remaining <= self.total):
-            raise DomainError("remaining must be in [0, total]")
-        if not 0 < self.pitch < math.inf:
-            raise DomainError("pitch must be finite and positive")
+        check(self, DomainError)
+        if self.remaining > self.total:
+            refuse(self, DomainError, "remaining", f"exceeds the total {self.total}")
 
 
 @dataclass
@@ -68,11 +53,11 @@ class ResonatorRecord:
     f_meas: float  # Hz, latest characterization
     shoelaces: ShoelaceArray = field(default_factory=ShoelaceArray)
 
+    RULES = {"id": STR, "f_meas": POSITIVE,
+             "role": Field(lambda v: v in ("readout", "purcell"), "'readout' or 'purcell'")}
+
     def __post_init__(self):
-        if self.role not in ("readout", "purcell"):
-            raise DomainError(f"unknown resonator role {self.role!r}")
-        if not 0 < self.f_meas < math.inf:
-            raise DomainError("f_meas must be finite and positive")
+        check(self, DomainError)
 
 
 # slots: a feedline plan keeps two actions per pair, and each one without a
@@ -85,9 +70,13 @@ class TrimAction:
     predicted_delta_f: float
     predicted_f: float
 
+    # removal can only lower the frequency
+    RULES = {"resonator_id": STR, "n_remove": COUNT, "delta_l": NON_NEGATIVE,
+             "predicted_delta_f": number(lambda v: -math.inf < v <= 0, "a finite number <= 0"),
+             "predicted_f": POSITIVE}
+
     def __post_init__(self):
-        if self.n_remove < 0 or self.predicted_delta_f > 0:
-            raise DomainError("removal can only lower frequency")
+        check(self, DomainError)
 
 
 @dataclass
@@ -167,16 +156,15 @@ def _closest_count(landing, target, remaining):
     return best_n
 
 
-def _action(record, n, shift_fn):
+def _removal(record, n, shift_fn):
+    """(delta_l, predicted shift, predicted frequency) of removing n shoelaces from record."""
     delta_l = n * record.shoelaces.pitch
     df = shift_fn(record.f_meas, delta_l) if n else 0.0
-    return TrimAction(
-        resonator_id=record.id,
-        n_remove=n,
-        delta_l=delta_l,
-        predicted_delta_f=df,
-        predicted_f=record.f_meas + df,
-    )
+    return delta_l, df, record.f_meas + df
+
+
+def _action(record, n, shift_fn):
+    return TrimAction(record.id, n, *_removal(record, n, shift_fn))
 
 
 def _shift_model(nu_rho, shift_fn):
@@ -219,17 +207,15 @@ def _pair_candidates(entry, nu_rho, shift_fn):
     base = plan_pair_match(entry.readout, entry.purcell, nu_rho, shift_fn)
     n_r = base.n_remove if base.resonator_id == entry.readout.id else 0
     n_p = base.n_remove if base.resonator_id == entry.purcell.id else 0
-    head = min(
-        entry.readout.shoelaces.remaining - n_r,
-        entry.purcell.shoelaces.remaining - n_p,
-    )
+    head = min(entry.readout.shoelaces.remaining - n_r, entry.purcell.shoelaces.remaining - n_p)
     out = []
     for k in range(head + 1):
-        a_r = _action(entry.readout, n_r + k, shift_fn)
-        a_p = _action(entry.purcell, n_p + k, shift_fn)
-        if k and min(a_r.predicted_f, a_p.predicted_f) <= 0:
-            break  # deeper candidates only fall further
-        out.append((a_r, a_p))
+        r = _removal(entry.readout, n_r + k, shift_fn)
+        p = _removal(entry.purcell, n_p + k, shift_fn)
+        if min(r[2], p[2]) <= 0:
+            break  # deeper candidates only fall further; k = 0 is the match, above zero
+        out.append((TrimAction(entry.readout.id, n_r + k, *r),
+                    TrimAction(entry.purcell.id, n_p + k, *p)))
     return out
 
 

@@ -6,18 +6,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError, UndefinedConditionalError
+from .rules import FINITE, POSITIVE, check, number, or_null, pair_of, refuse
 
 __all__ = [
-    "BlobModel",
-    "ShotSet",
-    "ReadoutBenchmarks",
-    "synth_shots",
-    "assignment_fidelity",
-    "pqnd",
+    "BlobModel", "ShotSet", "ReadoutBenchmarks", "synth_shots", "assignment_fidelity", "pqnd",
     "depletion_time",
 ]
 
 SCAN_BINS = 2048  # bins of the threshold scan; the result does not depend on the count
+
+_IQ = pair_of(FINITE, FINITE, "a list [i, q]")
 
 
 @dataclass(frozen=True)
@@ -30,13 +28,13 @@ class BlobModel:
     leak_prob: float = 0.0
     mean2: tuple | None = None
 
+    RULES = {"mean0": _IQ, "mean1": _IQ, "mean2": or_null(_IQ), "sigma": POSITIVE,
+             "leak_prob": number(lambda v: 0 <= v <= 1, "a number in [0, 1]")}
+
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise DomainError("sigma must be positive and finite")
-        if not 0.0 <= self.leak_prob <= 1.0:
-            raise DomainError("leak_prob must be in [0, 1]")
+        check(self, DomainError)
         if self.leak_prob > 0 and self.mean2 is None:
-            raise DomainError("leakage requires a third blob center")
+            refuse(self, DomainError, "mean2", "leakage (leak_prob > 0) needs a third blob centre")
 
 
 @dataclass

@@ -17,9 +17,8 @@ import io
 import json
 import math
 import os
-import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,6 +28,8 @@ from .pairmodel import PairParams
 from .planner import (AppliedTrim, ResonatorRecord, ShoelaceArray, TrimAction, TrimPlan,
                       apply_plan, fit_nu_rho, simulate_outcomes, velocity_samples)
 from .readout import BlobModel
+from .rules import (BOOL, COUNT, FINITE, NON_NEGATIVE, OBJECT, POSITIVE, STR, Field, check, is_real,
+                    list_of, map_of, number, or_null, pair_of, refuse, walk)
 from .transmon import TRANSMON_RATIO_FLOOR, AnnealConfig, LogAnnealResponse
 
 __all__ = [
@@ -40,196 +41,12 @@ __all__ = [
 SCHEMA_VERSION = 1
 PLAN_VERSION = 1
 
-_REQUIRED = object()
-
-
-@dataclass(frozen=True)
-class _Field:
-    """How one JSON value is read: ``test`` accepts it, ``expected`` names
-    what it accepts (nothing is coerced), ``read`` converts an accepted
-    value other than null and ``item`` is the rule of a list's entries, or
-    a tuple of one rule per entry. An absent key reads as ``default``;
-    without one, the key is required."""
-
-    test: object
-    expected: str
-    default: object = _REQUIRED
-    read: object = None
-    item: object = None
-
-
-def _is_real(v):
-    """An int or float within the float range; bools are not numbers."""
-    return isinstance(v, float) or (
-        isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
-
-
-def _number(test, expected, read=float):
-    return _Field(lambda v: _is_real(v) and math.isfinite(v) and test(v), expected, read=read)
-
-
-def _or_null(rule):
-    """rule for a key that may also be null; null and absent read as None."""
-    return replace(rule, test=lambda v: v is None or rule.test(v),
-                   expected=f"{rule.expected} or null", default=None)
-
-
-def _list_of(item, default=_REQUIRED):
-    return _Field(lambda v: isinstance(v, list), "a list", default, item=item)
-
-
-def _pair_of(first, second, expected):
-    """rule for a list of two entries, each with its own rule."""
-    return _Field(lambda v: isinstance(v, list) and len(v) == 2, expected, item=(first, second))
-
-
-def _map_of(item):
-    """rule for an object whose every value follows item."""
-    return lambda v: dict.fromkeys(v, item) if isinstance(v, dict) else _OBJECT
-
-
-_STR = _Field(lambda v: isinstance(v, str), "a string")
-_COUNT = _Field(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-                "a non-negative integer")
-_BOOL = _Field(lambda v: isinstance(v, bool), "true or false")
-_OBJECT = _Field(lambda v: isinstance(v, dict), "an object")
-_FINITE = _number(lambda v: True, "a finite number")
-_POSITIVE = _number(lambda v: v > 0, "a positive finite number")
-_NON_NEGATIVE = _number(lambda v: v >= 0, "a non-negative finite number")
-_LOSS = replace(_NON_NEGATIVE, default=0.0)
-
-# A table reads an object: key -> rule, with a nested table for a nested object.
-_RESONATOR = {"id": _STR, "role": _Field(lambda v: v in ("readout", "purcell"),
-                                         "'readout' or 'purcell'"),
-              "f_meas_hz": _POSITIVE,
-              "shoelaces": {"total": _COUNT, "remaining": _COUNT, "pitch_m": _POSITIVE}}
-# transmon values are kept as written: an integer stays an integer
-_SET_POSITIVE = _or_null(_number(lambda v: v > 0, "a positive number", read=None))
-_TRANSMON = {"id": _STR, "f_q_hz": _SET_POSITIVE, "e_j_hz": _SET_POSITIVE,
-             "e_c_hz": _SET_POSITIVE, "r_j_ohm": _SET_POSITIVE,
-             "alpha_hz": _or_null(_number(lambda v: v < 0, "a negative number", read=None))}
-# each key is a PairLink field, with "_hz" on the rates
-_PAIR = {"id": _STR, "transmon": _or_null(_STR), "readout": _STR, "purcell": _STR,
-         "feedline": _or_null(_STR),
-         "j_hz": _or_null(_POSITIVE), "kappa_hz": _or_null(_POSITIVE),
-         "chi_hz": replace(_FINITE, default=0.0),
-         "gamma_r_hz": _LOSS, "gamma_p_hz": _LOSS, "kappa_drive_hz": _LOSS}
-# the history entries that cycle_outcome and record_apply read back
-_EVENTS = {
-    "fit": {"pair": _STR, "f_r_hz": _POSITIVE, "f_p_hz": _POSITIVE,
-            "converged": replace(_BOOL, default=True)},
-    "apply": {"cycle_index": _Field(lambda v: _COUNT.test(v) and v >= 1, "an integer >= 1"),
-              "plan_sha256": replace(_STR, default=None),
-              "simulated": replace(_BOOL, default=False),
-              "actions": _list_of({"resonator": _STR, "n_remove": _COUNT,
-                                   "delta_l_m": _NON_NEGATIVE, "f_before_hz": _POSITIVE,
-                                   "f_after_hz": _POSITIVE, "predicted_f_hz": _POSITIVE})},
-}
-
-
-def _event_rule(entry):
-    event = entry.get("event") if isinstance(entry, dict) else None
-    return _EVENTS[event] if event in ("fit", "apply") else _OBJECT
-
-
-_REGISTRY = {"device_id": replace(_STR, default=""), "resonators": _list_of(_RESONATOR, ()),
-             "transmons": _list_of(_TRANSMON, ()), "pairs": _list_of(_PAIR, ()),
-             "history": _list_of(_event_rule, ())}
-# each key is a TrimAction field
-_PLAN_ACTION = {"resonator_id": _STR, "n_remove": _COUNT, "delta_l": _NON_NEGATIVE,
-                "predicted_delta_f": _number(lambda v: v <= 0, "a finite number <= 0"),
-                "predicted_f": _POSITIVE}
-# Infinity is a valid spacing: a feedline with one pair has no neighbours
-_OBJECTIVE = _Field(lambda v: _is_real(v) and v >= 0, "a non-negative number", 0.0, float)
-_PLAN = {"cycle_index": replace(_COUNT, default=0), "feasible": replace(_BOOL, default=True),
-         "objective_before_hz": _OBJECTIVE, "objective_after_hz": _OBJECTIVE,
-         "notes": _list_of(_STR, ()), "actions": _list_of(_PLAN_ACTION),
-         "provenance": replace(_OBJECT, default={})}
-# simulate anneal: the AnnealConfig fields in order, with units, and the response
-# dR/R0 = c log(1 + t/t0) as power in W -> [c, t0_s]
-_ANNEAL = {"r_start_ohm": _POSITIVE, "r_target_ohm": _POSITIVE,
-           "exposure_threshold_s": _NON_NEGATIVE, "power_schedule_w": _list_of(_POSITIVE),
-           "initial_exposure_s": replace(_POSITIVE, default=1.0),
-           "exposure_growth": replace(_POSITIVE, default=2.0),
-           "response": {"coeffs": _map_of(_pair_of(_FINITE, _POSITIVE, "a list [c, t0_s]"))}}
-# simulate readout: the BlobModel fields
-_IQ = _pair_of(_FINITE, _FINITE, "a list [i, q]")
-_BLOBS = {"mean0": _IQ, "mean1": _IQ, "mean2": replace(_IQ, default=None), "sigma": _POSITIVE,
-          "leak_prob": replace(_number(lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-                               default=0.0)}
-
-# TransmonEntry field -> registry key
-_TRANSMON_KEYS = {"f_q": "f_q_hz", "alpha": "alpha_hz", "e_j": "e_j_hz", "e_c": "e_c_hz",
-                  "r_j": "r_j_ohm"}
-# AppliedTrim field -> key of an action in an ``apply`` history entry
-_TRIM_KEYS = {"resonator_id": "resonator", "n_remove": "n_remove", "delta_l": "delta_l_m",
-              "f_before": "f_before_hz", "f_after": "f_after_hz", "predicted_f": "predicted_f_hz"}
-
-
-def _walk(path, value, rule, problems):
-    """value as its rule reads it; each bad field goes to problems by path.
-
-    A rule is a :class:`_Field`, a table or a function of the value that
-    returns its rule. A table keeps the keys it does not name as they are.
-    """
-    if callable(rule):
-        rule = rule(value)
-    table, rule = (rule, _OBJECT) if isinstance(rule, dict) else (None, rule)
-    if not rule.test(value):
-        problems.append(f"{path}: expected {rule.expected}, got {value!r}")
-    elif table is not None:
-        value = dict(value)
-        for key, sub in table.items():
-            where = f"{path}.{key}" if path else key
-            if key in value:
-                value[key] = _walk(where, value[key], sub, problems)
-            elif getattr(sub, "default", _REQUIRED) is _REQUIRED:
-                problems.append(f"{where}: missing")
-            else:
-                value[key] = sub.default
-    elif rule.item is not None:
-        items = rule.item if isinstance(rule.item, tuple) else [rule.item] * len(value)
-        value = [_walk(f"{path}[{i}]", v, sub, problems)
-                 for i, (v, sub) in enumerate(zip(value, items))]
-    elif value is not None and rule.read is not None:
-        value = rule.read(value)
-    return value
-
-
-def _read(doc, what, table, version=None):
-    """doc as table reads it; ValidationError listing every bad field.
-    Given a ``version``, the document must carry exactly that one."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    if version is not None and not (_COUNT.test(doc.get("version"))
-                                    and doc["version"] == version):
-        raise ValidationError(f"unsupported {what} version {doc.get('version')!r}")
-    problems = []
-    values = _walk("", doc, table, problems)
-    if problems:
-        raise ValidationError(f"{what} schema violation", paths=problems)
-    return values
-
-
-def _extras(entry, table):
-    return {k: v for k, v in entry.items() if k not in table}
-
-
-def _ratio_problem(path, entry, problems):
-    """Record an e_j/e_c below the transmon floor when both are set numbers."""
-    e_j, e_c = entry["e_j_hz"], entry["e_c_hz"]
-    if _is_real(e_j) and _is_real(e_c) and e_j < TRANSMON_RATIO_FLOOR * e_c:
-        problems.append(f"{path}.e_j_hz: e_j/e_c = {e_j / e_c:.3g} is below the transmon "
-                        f"floor {TRANSMON_RATIO_FLOOR:g}")
-
 
 @dataclass
 class TransmonEntry:
     """A transmon: sweet-spot f_q and alpha (Hz), E_J/h and E_c/h (Hz) and
-    junction-pair resistance r_j (Ohm). Each field but ``id`` may be unset;
-    a set one must be a number, alpha negative and the others positive,
-    and e_j/e_c at least the transmon floor when both are set.
-    """
+    junction-pair resistance r_j (Ohm), each optional; e_j/e_c is at least
+    the transmon floor when both are set."""
 
     id: str
     f_q: float | None = None
@@ -239,16 +56,117 @@ class TransmonEntry:
     r_j: float | None = None
     extras: dict = field(default_factory=dict)
 
+    # values are kept as written: an integer stays an integer
+    RULES = {"id": STR, "alpha": or_null(number(lambda v: -math.inf < v < 0, "a negative number",
+                                                 read=None)),
+             **dict.fromkeys(("f_q", "e_j", "e_c", "r_j"), or_null(replace(POSITIVE, read=None)))}
+
     def __post_init__(self):
-        problems = []
-        entry = _walk(f"transmon {self.id}", _transmon_doc(self), _TRANSMON, problems)
-        _ratio_problem(f"transmon {self.id}", entry, problems)
-        if problems:
-            raise DomainError("; ".join(problems))
+        check(self, DomainError)
+        if None not in (self.e_j, self.e_c) and self.e_j < TRANSMON_RATIO_FLOOR * self.e_c:
+            refuse(self, DomainError, "e_j", f"e_j/e_c = {self.e_j / self.e_c:.3g} is below the "
+                                             f"transmon floor {TRANSMON_RATIO_FLOOR:g}")
 
 
-def _transmon_doc(t):
-    return {"id": t.id, **{key: getattr(t, name) for name, key in _TRANSMON_KEYS.items()}}
+# record field -> file key, where the two differ (the file's keys carry units)
+_KEYS = {ResonatorRecord: {"f_meas": "f_meas_hz"}, ShoelaceArray: {"pitch": "pitch_m"},
+         TransmonEntry: {"f_q": "f_q_hz", "alpha": "alpha_hz", "e_j": "e_j_hz", "e_c": "e_c_hz",
+                         "r_j": "r_j_ohm"},
+         AnnealConfig: {"r_start": "r_start_ohm", "r_target": "r_target_ohm",
+                        "exposure_threshold": "exposure_threshold_s",
+                        "power_schedule": "power_schedule_w",
+                        "initial_exposure": "initial_exposure_s"}}
+# AppliedTrim field -> key of an action in an ``apply`` history entry
+_TRIM_KEYS = {"resonator_id": "resonator", "n_remove": "n_remove", "delta_l": "delta_l_m",
+              "f_before": "f_before_hz", "f_after": "f_after_hz", "predicted_f": "predicted_f_hz"}
+
+
+def _keyed(cls, defaults=True):
+    """A table of cls's own field rules under its file keys, with its defaults."""
+    keys, given = _KEYS.get(cls, {}), {f.name: f.default for f in fields(cls)}
+    return {keys.get(name, name): rule if given[name] is MISSING or not defaults
+            else replace(rule, default=given[name]) for name, rule in cls.RULES.items()}
+
+
+def _doc(record):
+    keys = _KEYS.get(type(record), {})
+    return {keys.get(name, name): getattr(record, name) for name in record.RULES}
+
+
+# A table reads an object: key -> rule, with a nested table for a nested object.
+# A file gives no default shoelaces.
+_RESONATOR = {**_keyed(ResonatorRecord), "shoelaces": _keyed(ShoelaceArray, defaults=False)}
+_TRANSMON = _keyed(TransmonEntry)
+# each key is a PairLink field, with "_hz" on the rates, which follow PairParams' rules
+_RATES = PairParams.RULES
+_PAIR = {"id": STR, "transmon": or_null(STR), "readout": STR, "purcell": STR,
+         "feedline": or_null(STR), **{f"{n}_hz": or_null(_RATES[n]) for n in ("j", "kappa")},
+         **{f"{n}_hz": replace(_RATES[n], default=0.0)
+            for n in ("chi", "gamma_r", "gamma_p", "kappa_drive")}}
+# the history entries that cycle_outcome and record_apply read back
+_EVENTS = {
+    "fit": {"pair": STR, "f_r_hz": POSITIVE, "f_p_hz": POSITIVE,
+            "converged": replace(BOOL, default=True)},
+    "apply": {"cycle_index": Field(lambda v: COUNT.test(v) and v >= 1, "an integer >= 1"),
+              "plan_sha256": replace(STR, default=None),
+              "simulated": replace(BOOL, default=False),
+              "actions": list_of({"resonator": STR, "n_remove": COUNT,
+                                  "delta_l_m": NON_NEGATIVE, "f_before_hz": POSITIVE,
+                                  "f_after_hz": POSITIVE, "predicted_f_hz": POSITIVE})},
+}
+
+
+def _event_rule(entry):
+    event = entry.get("event") if isinstance(entry, dict) else None
+    return _EVENTS[event] if event in ("fit", "apply") else OBJECT
+
+
+_REGISTRY = {"device_id": replace(STR, default=""), "resonators": list_of(_RESONATOR, ()),
+             "transmons": list_of(_TRANSMON, ()), "pairs": list_of(_PAIR, ()),
+             "history": list_of(_event_rule, ())}
+# Infinity is a valid spacing: a feedline with one pair has no neighbours
+_OBJECTIVE = Field(lambda v: is_real(v) and v >= 0, "a non-negative number", 0.0, float)
+_PLAN = {"cycle_index": replace(COUNT, default=0), "feasible": replace(BOOL, default=True),
+         "objective_before_hz": _OBJECTIVE, "objective_after_hz": _OBJECTIVE,
+         "notes": list_of(STR, ()), "actions": list_of(TrimAction.RULES),
+         "provenance": replace(OBJECT, default={})}
+# simulate anneal: the AnnealConfig fields in order, and the response
+# dR/R0 = c log(1 + t/t0) as power in W -> [c, t0_s]
+_ANNEAL = {**_keyed(AnnealConfig),
+           "response": {"coeffs": map_of(pair_of(FINITE, POSITIVE, "a list [c, t0_s]"))}}
+# simulate readout: the BlobModel fields
+_BLOBS = _keyed(BlobModel)
+
+
+def _read(doc, what, table, version=None):
+    """doc as table reads it; ValidationError listing every bad field.
+    Given a ``version``, the document must carry exactly that one."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if version is not None and not (COUNT.test(doc.get("version"))
+                                    and doc["version"] == version):
+        raise ValidationError(f"unsupported {what} version {doc.get('version')!r}")
+    problems = []
+    values = walk("", doc, table, problems)
+    if problems:
+        raise ValidationError(f"{what} schema violation", paths=problems)
+    return values
+
+
+def _built(cls, entry, problems=None, at="", **extra):
+    """cls from entry's values under cls's file keys. Given problems, a rule
+    between fields that cls refuses goes to them under ``at`` and gives None."""
+    keys = _KEYS.get(cls, {})
+    try:
+        return cls(**{name: entry[keys.get(name, name)] for name in cls.RULES}, **extra)
+    except DomainError as exc:
+        if problems is None or not exc.fields:
+            raise
+        problems += [f"{at}{keys.get(name, name)}{rest}" for name, rest in exc.fields]
+
+
+def _extras(entry, table):
+    return {k: v for k, v in entry.items() if k not in table}
 
 
 @dataclass
@@ -271,11 +189,8 @@ class PairLink:
     def pair_params(self, f_r, f_p):
         if self.j is None or self.kappa is None:
             raise ValidationError(f"pair {self.id} has no fitted j/kappa")
-        return PairParams(
-            f_r=f_r, f_p=f_p, j=self.j, kappa=self.kappa,
-            gamma_r=self.gamma_r, gamma_p=self.gamma_p,
-            kappa_drive=self.kappa_drive, chi=self.chi,
-        )
+        return PairParams(f_r, f_p, **{name: getattr(self, name) for name in PairParams.RULES
+                                       if name not in ("f_r", "f_p")})
 
 
 @dataclass
@@ -399,16 +314,11 @@ class DeviceRegistry:
 
 
 def _registry_to_doc(reg):
-    def resonator(rid, rec):
-        sh = rec.shoelaces
-        return {**reg.res_extras.get(rid, {}), "id": rec.id, "role": rec.role,
-                "f_meas_hz": rec.f_meas,
-                "shoelaces": {"total": sh.total, "remaining": sh.remaining, "pitch_m": sh.pitch}}
-
     return {**reg.extras, "version": SCHEMA_VERSION, "device_id": reg.device_id,
-            "resonators": [resonator(*item) for item in sorted(reg.resonators.items())],
-            "transmons": [{**t.extras, **_transmon_doc(t)}
-                          for _, t in sorted(reg.transmons.items())],
+            "resonators": [{**reg.res_extras.get(rid, {}), **_doc(rec),
+                            "shoelaces": _doc(rec.shoelaces)}
+                           for rid, rec in sorted(reg.resonators.items())],
+            "transmons": [{**t.extras, **_doc(t)} for _, t in sorted(reg.transmons.items())],
             "pairs": [{**p.extras, **{key: getattr(p, key.removesuffix("_hz")) for key in _PAIR}}
                       for _, p in sorted(reg.pairs.items())],
             "history": list(reg.history)}
@@ -421,27 +331,18 @@ def _doc_to_registry(doc):
         ids = [entry["id"] for entry in values[kind]]
         problems += [f"{kind}[{i}].id: duplicate id {rid!r}"
                      for i, rid in enumerate(ids) if rid in ids[:i]]
-    for i, entry in enumerate(values["resonators"]):
-        sh = entry["shoelaces"]
-        if sh["remaining"] > sh["total"]:
-            problems.append(f"resonators[{i}].shoelaces.remaining: exceeds the total {sh['total']}")
-    for i, entry in enumerate(values["transmons"]):
-        _ratio_problem(f"transmons[{i}]", entry, problems)
-    if problems:
-        raise ValidationError("registry validation failed", paths=problems)
     reg = DeviceRegistry(values["device_id"], extras=_extras(doc, {"version", *_REGISTRY}),
                          history=list(doc.get("history", ())))
-    for entry in values["resonators"]:
-        sh = entry["shoelaces"]
-        reg.resonators[entry["id"]] = ResonatorRecord(
-            entry["id"], entry["role"], entry["f_meas_hz"],
-            ShoelaceArray(sh["total"], sh["remaining"], sh["pitch_m"]))
+    for i, entry in enumerate(values["resonators"]):
+        reg.resonators[entry["id"]] = _built(ResonatorRecord, entry, shoelaces=_built(
+            ShoelaceArray, entry["shoelaces"], problems, f"resonators[{i}].shoelaces."))
         if _extras(entry, _RESONATOR):
             reg.res_extras[entry["id"]] = _extras(entry, _RESONATOR)
-    for entry in values["transmons"]:
-        reg.transmons[entry["id"]] = TransmonEntry(
-            entry["id"], **{name: entry[key] for name, key in _TRANSMON_KEYS.items()},
-            extras=_extras(entry, _TRANSMON))
+    for i, entry in enumerate(values["transmons"]):
+        reg.transmons[entry["id"]] = _built(TransmonEntry, entry, problems, f"transmons[{i}].",
+                                            extras=_extras(entry, _TRANSMON))
+    if problems:
+        raise ValidationError("registry validation failed", paths=problems)
     for entry in values["pairs"]:
         reg.pairs[entry["id"]] = PairLink(
             **{key.removesuffix("_hz"): entry[key] for key in _PAIR},
@@ -574,7 +475,7 @@ def plan_to_doc(plan, provenance=None):
 def _doc_to_plan(doc):
     values = _read(doc, "plan", _PLAN, PLAN_VERSION)
     plan = TrimPlan(
-        actions=[TrimAction(**{key: a[key] for key in _PLAN_ACTION}) for a in values["actions"]],
+        actions=[_built(TrimAction, a) for a in values["actions"]],
         objective_before=values["objective_before_hz"],
         objective_after=values["objective_after_hz"],
         cycle_index=values["cycle_index"],
@@ -610,9 +511,9 @@ def load_anneal_config(path):
         coeffs[power] = (c, t0)
     problems += [f"power_schedule_w[{i}]: no response.coeffs for {p!r} W"
                  for i, p in enumerate(values["power_schedule_w"]) if p not in coeffs]
+    config = _built(AnnealConfig, values, problems)
     if problems:
         raise ValidationError("anneal config schema violation", paths=problems)
-    config = AnnealConfig(*(values[key] for key in _ANNEAL if key != "response"))
     return config, LogAnnealResponse(coeffs)
 
 
@@ -625,8 +526,12 @@ def save_anneal_trace(trace, path):
 def load_blob_model(path):
     """A ``simulate readout`` model as a :class:`BlobModel`."""
     values = _read(_load_json(path), "blob model", _BLOBS)
+    problems = []
     means = {k: tuple(values[k]) for k in ("mean0", "mean1", "mean2") if values[k] is not None}
-    return BlobModel(sigma=values["sigma"], leak_prob=values["leak_prob"], **means)
+    model = _built(BlobModel, {**values, **means}, problems)
+    if problems:
+        raise ValidationError("blob model schema violation", paths=problems)
+    return model
 
 
 def save_shots(shots, path):

@@ -13,16 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CutoffError, DirectionError, DomainError, InversionError
+from .rules import NON_NEGATIVE, POSITIVE, Field, check, refuse
 
 __all__ = [
-    "AnnealConfig",
-    "AnnealTrace",
-    "LogAnnealResponse",
-    "transmon_spectrum",
-    "invert_spectroscopy",
-    "rj_target",
-    "predict_fq",
-    "anneal_closed_loop",
+    "AnnealConfig", "AnnealTrace", "LogAnnealResponse", "transmon_spectrum", "invert_spectroscopy",
+    "rj_target", "predict_fq", "anneal_closed_loop",
 ]
 
 DEFAULT_CUTOFF = 30
@@ -205,13 +200,16 @@ class AnnealConfig:
     exposure_growth: float = 2.0
     max_cycles_per_power: int = 200
 
+    RULES = {"r_start": POSITIVE, "r_target": POSITIVE, "exposure_threshold": NON_NEGATIVE,
+             "power_schedule": Field(lambda v: isinstance(v, (list, tuple)) and len(v) > 0,
+                                     "a non-empty list", item=POSITIVE),
+             "initial_exposure": POSITIVE, "exposure_growth": POSITIVE}
+
     def __post_init__(self):
-        if not (0 < self.r_start < math.inf and 0 < self.r_target < math.inf):
-            raise DomainError("r_start and r_target must be positive and finite")
+        check(self, DomainError)
         if self.r_target <= self.r_start:
-            raise DomainError("r_target must exceed the starting resistance")
-        if not self.power_schedule:
-            raise DomainError("power schedule must not be empty")
+            refuse(self, DomainError, "r_target",
+                   f"must exceed the starting resistance {self.r_start!r}")
 
 
 @dataclass

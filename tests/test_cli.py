@@ -780,8 +780,11 @@ def test_bad_input_file_is_reported_by_path_or_line(runner, tmp_path, command, c
 
 PLAN_PAIR = ["plan", "pair", "--registry", "{reg}", "--all-pairs", "--nu-rho"]
 CROWDING = ["plan", "crowding", "--registry", "{reg}"]
-# name -> (arguments, category of the report); {reg} is a valid registry and
-# {tmp} its directory, which also holds a trace of pair0
+# registries beside {reg}: name -> the fields set on its pair0
+PAIR_VARIANTS = {"unfitted": {"j_hz": None}, "ghost-transmon": {"transmon": "q9"}}
+# name -> (arguments, category of the report, or the report's first lines); {reg}
+# is a valid registry and {tmp} its directory, which also holds a trace of pair0
+# and a registry {tmp}/NAME.json for each PAIR_VARIANTS name
 MALFORMED_INVOCATIONS = {
     "no-arguments": ([], "usage"),
     "unknown-command": (["bogus"], "usage"),
@@ -808,6 +811,12 @@ MALFORMED_INVOCATIONS = {
                            "--naive-slope"], "validation"),
     "crowding-unknown-feedline": ([*CROWDING, "--feedline", "nope", "--naive-slope"],
                                   "validation"),
+    "crowding-unfitted-pair": (["plan", "crowding", "--registry", "{tmp}/unfitted.json",
+                                "--feedline", "fl0", "--naive-slope"],
+                               "validation: pair pair0 has no fitted j/kappa\n"),
+    "pair-unknown-transmon": (["report", "--registry", "{tmp}/ghost-transmon.json"],
+                              "validation: registry validation failed\n"
+                              "  pairs.pair0.transmon: unknown transmon 'q9'\n"),
 }
 
 
@@ -819,12 +828,16 @@ def test_malformed_invocation_is_one_report(runner, tmp_path, args, category):
     f = np.linspace(7.45e9, 7.57e9, 801)
     truth = PairParams(f_r=7.5e9, f_p=7.521e9, j=10e6, kappa=20e6)
     save_trace(TransmissionTrace(freqs=f, values=s21_ideal(f, truth)), tmp_path / "trace.csv")
+    for name, fields in PAIR_VARIANTS.items():
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps(_pair(json.loads(reg_path.read_text()), **fields)))
     before, files = reg_path.read_bytes(), sorted(os.listdir(tmp_path))
     result = runner.invoke(main, [a.format(reg=reg_path, tmp=tmp_path) for a in args])
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     first = result.stderr.splitlines()[0]
-    assert re.match(r"^[a-z][a-z-]*: \S", first) and first.startswith(f"{category}: ")
+    head = category if ": " in category else f"{category}: "
+    assert re.match(r"^[a-z][a-z-]*: \S", first) and result.stderr.startswith(head)
     assert "Traceback" not in result.output
     assert reg_path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == files

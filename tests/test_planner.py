@@ -195,6 +195,10 @@ def crowding_entries(freqs, j=10e6, kappa=2e6):
 
 
 class TestPlanCrowding:
+    def test_no_pairs_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="need at least one pair"):
+            plan_crowding([], guard_band=20e6, nu_rho=NU_RHO)
+
     def test_spaced_and_matched_pairs_need_nothing(self):
         entries = crowding_entries([(7.3e9, 7.3e9), (7.5e9, 7.5e9), (7.7e9, 7.7e9)])
         plan = plan_crowding(entries, guard_band=20e6, nu_rho=NU_RHO)

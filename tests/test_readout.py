@@ -40,6 +40,11 @@ class TestSynthShots:
         with pytest.raises(DomainError, match="seed"):
             synth_shots(model, 10, seed=-1)
 
+    def test_no_shots_is_a_domain_error(self):
+        model = BlobModel(mean0=(0.0, 0.0), mean1=(4.0, 0.0), sigma=1.0)
+        with pytest.raises(DomainError, match="n_per_state must be at least 1"):
+            synth_shots(model, 0, 1)
+
     def test_integer_means_keep_a_fractional_leakage_blob(self):
         model = BlobModel(mean0=(0, 0), mean1=(4, 0), sigma=1e-9, leak_prob=0.5, mean2=(2.5, 1.5))
         shots = synth_shots(model, 200, seed=1)

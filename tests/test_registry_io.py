@@ -1,23 +1,28 @@
 """Registry, trace-file, and plan-file round-trip tests."""
 
+import ast
 import functools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resotrim.errors import ParseError, ResotrimError, ValidationError
+import resotrim.rules
+from resotrim.errors import (DomainError, InvalidParamsError, ParseError, ResotrimError,
+                             ValidationError)
 from resotrim.fitting import TransmissionTrace
+from resotrim.pairmodel import PairParams
 from resotrim.planner import (
     ResonatorRecord,
     ShoelaceArray,
     TrimAction,
     TrimPlan,
 )
-from resotrim.readout import synth_shots
+from resotrim.readout import BlobModel, synth_shots
 from resotrim.registry import (
     DeviceRegistry,
     PairLink,
@@ -34,7 +39,7 @@ from resotrim.registry import (
     save_shots,
     save_trace,
 )
-from resotrim.transmon import anneal_closed_loop
+from resotrim.transmon import AnnealConfig, anneal_closed_loop
 
 
 def record(rid, role, f, remaining=10):
@@ -388,3 +393,141 @@ def test_load_trace_refuses_any_bytes_with_a_resotrim_error(tmp_path):
             pass
 
     load_after_header()
+
+
+RESONATOR = {"id": "r0", "role": "readout", "f_meas_hz": 7.5e9,
+             "shoelaces": {"total": 10, "remaining": 7, "pitch_m": 5e-6}}
+TRANSMON = {"id": "q0", "f_q_hz": 6e9, "alpha_hz": -3e8, "e_j_hz": 1.6e10, "e_c_hz": 3e8,
+            "r_j_ohm": 6000.0}
+# no pair refers to these, so a changed id or role breaks no reference
+LONE_REGISTRY = {"version": 1, "resonators": [RESONATOR], "transmons": [TRANSMON]}
+PAIR_REGISTRY = {"version": 1, "resonators": [
+    RESONATOR, {**RESONATOR, "id": "p0", "role": "purcell", "f_meas_hz": 7.51e9}], "pairs": [{
+        "id": "pair0", "transmon": None, "readout": "r0", "purcell": "p0", "j_hz": 1e7,
+        "kappa_hz": 2e7, "chi_hz": -1e6, "gamma_r_hz": 1e4, "gamma_p_hz": 2e4,
+        "kappa_drive_hz": 3e4}]}
+PLAN = {"version": 1, "actions": [{"resonator_id": "p0", "n_remove": 3, "delta_l": 1.5e-5,
+                                   "predicted_delta_f": -3e6, "predicted_f": 7.518e9}]}
+
+
+def _paths(prefix, keys):
+    return {name: (*prefix, key) for name, key in keys.items()}
+
+
+# record -> (its loader, a document that loads, record field -> path of its key there)
+RECORDS = {
+    PairParams: (load_registry, PAIR_REGISTRY, {
+        "f_r": ("resonators", 0, "f_meas_hz"), "f_p": ("resonators", 1, "f_meas_hz"),
+        **_paths(("pairs", 0), {name: f"{name}_hz" for name in (
+            "j", "kappa", "gamma_r", "gamma_p", "kappa_drive", "chi")})}),
+    ResonatorRecord: (load_registry, LONE_REGISTRY, _paths(
+        ("resonators", 0), {"id": "id", "role": "role", "f_meas": "f_meas_hz"})),
+    ShoelaceArray: (load_registry, LONE_REGISTRY, _paths(
+        ("resonators", 0, "shoelaces"), {"total": "total", "remaining": "remaining",
+                                         "pitch": "pitch_m"})),
+    TransmonEntry: (load_registry, LONE_REGISTRY, _paths(("transmons", 0), {
+        "id": "id", "f_q": "f_q_hz", "alpha": "alpha_hz", "e_j": "e_j_hz", "e_c": "e_c_hz",
+        "r_j": "r_j_ohm"})),
+    TrimAction: (load_plan, PLAN, _paths(("actions", 0), {name: name for name in PLAN[
+        "actions"][0]})),
+    AnnealConfig: (load_anneal_config, VALID_ANNEAL, _paths((), {
+        "r_start": "r_start_ohm", "r_target": "r_target_ohm",
+        "exposure_threshold": "exposure_threshold_s", "power_schedule": "power_schedule_w",
+        "initial_exposure": "initial_exposure_s", "exposure_growth": "exposure_growth"})),
+    BlobModel: (load_blob_model, VALID_BLOBS, _paths((), {name: name for name in VALID_BLOBS})),
+}
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _as_json(value):
+    """value as a JSON document holds it: numpy scalars as numbers, tuples as lists."""
+    if isinstance(value, (list, tuple)):
+        return [_as_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _as_json(v) for k, v in value.items()}
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _with_coeffs(doc):
+    """An anneal config with response coefficients for each number in its schedule."""
+    schedule = doc["power_schedule_w"]
+    if not isinstance(schedule, list):
+        return doc
+    powers = [p for p in schedule if isinstance(p, (int, float)) and not isinstance(p, bool)]
+    return {**doc, "response": {"coeffs": {json.dumps(p): [0.02, 1.0] for p in powers}}}
+
+
+record_values = (json_values | st.sampled_from(["readout", "purcell"])
+                 | st.floats().map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+                 | st.lists(st.floats() | st.integers(-5, 5), max_size=3).map(tuple))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_refuses_a_value_exactly_when_its_loader_does(tmp_path, cls):
+    load, doc, paths = RECORDS[cls]
+    valid = {name: _as_json(_get(doc, path)) for name, path in paths.items()}
+    cls(**valid)
+    path = tmp_path / "doc.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(paths)), record_values)
+    def replace_one_field(name, value):
+        # a pair's j and kappa are null in a file until they are fitted
+        assume(not (cls is PairParams and value is None and name in ("j", "kappa")))
+        try:
+            cls(**{**valid, name: value})
+            built = True
+        except ResotrimError:
+            built = False
+        changed = _replaced(doc, paths[name], _as_json(value))
+        path.write_text(json.dumps(_with_coeffs(changed) if load is load_anneal_config
+                                   else changed))
+        try:
+            load(path)
+            loaded = True
+        except ValidationError:
+            loaded = False
+        assert built == loaded, (name, value)
+
+    replace_one_field()
+
+
+PAIR_PARAMS = dict(f_r=7.5e9, f_p=7.51e9, j=1e7, kappa=2e7)
+CONFIG = dict(r_start=6000.0, r_target=6100.0, exposure_threshold=100.0, power_schedule=[0.17])
+ACTION = dict(resonator_id="r0", delta_l=5e-6, predicted_delta_f=-1e6, predicted_f=7e9)
+# values that a loader refuses in a file; all but the role constructed without
+# complaint before the records checked themselves with the loaders' rules
+REFUSED = [
+    *[(PairParams, dict(PAIR_PARAMS, **{name: value})) for name, value in [
+        ("gamma_r", math.nan), ("chi", math.nan), ("j", math.inf), ("f_r", math.inf)]],
+    (ShoelaceArray, dict(total=10.5)), (ShoelaceArray, dict(remaining=True)),
+    (ResonatorRecord, dict(id=5, role="readout", f_meas=7.5e9)),
+    (ResonatorRecord, dict(id="r0", role="flux", f_meas=7.5e9)),
+    (TrimAction, dict(ACTION, n_remove=1.5)),
+    *[(AnnealConfig, dict(CONFIG, **{name: value})) for name, value in [
+        ("exposure_threshold", -1), ("exposure_growth", 0), ("power_schedule", [-1]),
+        ("initial_exposure", math.nan)]],
+    (BlobModel, dict(mean0=(math.nan, 0), mean1=(1, 0), sigma=1.0)),
+]
+
+
+@pytest.mark.parametrize("cls, fields", REFUSED, ids=lambda v: getattr(v, "__name__", ""))
+def test_constructors_refuse_what_a_file_may_not_hold(cls, fields):
+    with pytest.raises(InvalidParamsError if cls is PairParams else DomainError):
+        cls(**fields)
+
+
+def test_rules_import_only_the_standard_library_and_errors():
+    # any command may check a record, so the rules must not load numpy
+    tree = ast.parse(open(resotrim.rules.__file__, encoding="utf-8").read())
+    imported = [(0, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [(node.level, node.module) for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert all((level == 0 and name.split(".")[0] in sys.stdlib_module_names)
+               or (level == 1 and name == "errors") for level, name in imported), imported

@@ -58,6 +58,10 @@ class TestTransmonSpectrum:
         with pytest.raises(CutoffError):
             transmon_spectrum(200 * 250e6, 250e6, cutoff=10)
 
+    def test_cutoff_below_ten_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="cutoff must be at least 10"):
+            transmon_spectrum(1e10, 2.5e8, cutoff=9)
+
     def test_rejects_nonpositive_energies(self):
         with pytest.raises(DomainError):
             transmon_spectrum(-1e9, 250e6)
