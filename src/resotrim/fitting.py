@@ -302,11 +302,14 @@ def fit_pair(trace, guess, model="ideal"):
 
 
 def _lm_loop(guess, f, z, n):
-    # resonances must stay near the measured span; a frequency walking
-    # far outside it degenerates the model into a single resonator
+    # the start and every trial are clipped into a box: resonances must stay
+    # near the measured span, as a frequency walking far outside it degenerates
+    # the model into a single resonator, and log-rates in a sane physical
+    # window, as a huge rate overflows the model
     span = f[-1] - f[0]
-    f_lo, f_hi = f[0] - span, f[-1] + span
-    theta = _pack(guess, n, kappa_floor=guess.kappa * 1e-6)
+    lo = np.array([f[0] - span] * 2 + [math.log(1e-3)] * (n - 2))
+    hi = np.array([f[-1] + span] * 2 + [math.log(1e12)] * (n - 2))
+    theta = np.clip(_pack(guess, n, kappa_floor=guess.kappa * 1e-6), lo, hi)
     r, jac = _residuals(theta, f, z)
     cost = float(r @ r)
     lam = 1e-3
@@ -325,10 +328,7 @@ def _lm_loop(guess, f, z, n):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            trial = theta + step
-            # keep log-rates in a sane physical window to avoid overflow
-            trial[0:2] = np.clip(trial[0:2], f_lo, f_hi)
-            trial[2:] = np.clip(trial[2:], math.log(1e-3), math.log(1e12))
+            trial = np.clip(theta + step, lo, hi)
             r_t, jac_t = _residuals(trial, f, z)
             cost_t = float(r_t @ r_t)
             if np.isfinite(cost_t) and cost_t <= cost:

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import pairmodel
 from .errors import DomainError, UnderdeterminedError, ValidationError
-from .rules import COUNT, NON_NEGATIVE, POSITIVE, STR, Field, check, number, refuse
+from .rules import (BOOL, COUNT, NON_NEGATIVE, POSITIVE, STR, Field, check, is_real, list_of,
+                    number, refuse)
 
 __all__ = [
     "ShoelaceArray", "ResonatorRecord", "TrimAction", "TrimPlan", "AppliedTrim", "PairEntry",
@@ -79,6 +80,10 @@ class TrimAction:
         check(self, DomainError)
 
 
+# Infinity is a valid spacing: a feedline with one pair has no neighbours
+_OBJECTIVE = Field(lambda v: is_real(v) and v >= 0, "a non-negative number", 0.0, float)
+
+
 @dataclass
 class TrimPlan:
     actions: list
@@ -87,6 +92,16 @@ class TrimPlan:
     cycle_index: int = 0
     feasible: bool = True
     notes: list = field(default_factory=list)
+
+    # a plan file may leave out the objectives (0) and the notes (none); each
+    # TrimAction has checked itself, so the actions are tested by type alone
+    RULES = {"cycle_index": COUNT, "feasible": BOOL, "objective_before": _OBJECTIVE,
+             "objective_after": _OBJECTIVE, "notes": list_of(STR, ()),
+             "actions": Field(lambda v: isinstance(v, list) and all(
+                 isinstance(a, TrimAction) for a in v), "a list of TrimActions")}
+
+    def __post_init__(self):
+        check(self, DomainError)
 
 
 @dataclass(frozen=True)
@@ -99,6 +114,12 @@ class AppliedTrim:
     f_before: float
     f_after: float
     predicted_f: float
+
+    RULES = {"resonator_id": STR, "n_remove": COUNT, "delta_l": NON_NEGATIVE,
+             **dict.fromkeys(("f_before", "f_after", "predicted_f"), POSITIVE)}
+
+    def __post_init__(self):
+        check(self, DomainError)
 
 
 @dataclass

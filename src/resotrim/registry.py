@@ -6,9 +6,9 @@ records, pair wiring, feedline grouping and an append-only cycle history,
 whose entries are built here next to the code that reads them back.
 Registry and plan documents, the anneal config and the blob model are read
 through one set of field tables (the first two also before every save), and
-each bad field is reported by its path. Unknown fields are preserved
-through registry load/save round trips. Traces, anneal histories and shots
-are CSV. Every write goes to a temp file followed by an atomic rename.
+each bad field is reported by its path. Unknown fields, at any depth, are
+preserved through registry load/save round trips. Traces, anneal histories
+and shots are CSV. Every write goes to a temp file followed by an atomic rename.
 """
 
 import csv
@@ -18,7 +18,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .pairmodel import PairParams
 from .planner import (AppliedTrim, ResonatorRecord, ShoelaceArray, TrimAction, TrimPlan,
                       apply_plan, fit_nu_rho, simulate_outcomes, velocity_samples)
 from .readout import BlobModel
-from .rules import (BOOL, COUNT, FINITE, NON_NEGATIVE, OBJECT, POSITIVE, STR, Field, check, is_real,
-                    list_of, map_of, number, or_null, pair_of, refuse, walk)
+from .rules import (BOOL, COUNT, FINITE, OBJECT, POSITIVE, STR, Field, check, list_of, map_of,
+                    number, or_null, pair_of, refuse, walk)
 from .transmon import TRANSMON_RATIO_FLOOR, AnnealConfig, LogAnnealResponse
 
 __all__ = [
@@ -54,7 +54,6 @@ class TransmonEntry:
     e_j: float | None = None
     e_c: float | None = None
     r_j: float | None = None
-    extras: dict = field(default_factory=dict)
 
     # values are kept as written: an integer stays an integer
     RULES = {"id": STR, "alpha": or_null(number(lambda v: -math.inf < v < 0, "a negative number",
@@ -63,22 +62,60 @@ class TransmonEntry:
 
     def __post_init__(self):
         check(self, DomainError)
-        if None not in (self.e_j, self.e_c) and self.e_j < TRANSMON_RATIO_FLOOR * self.e_c:
+        # a Python float, as a file gives it, overflows to inf without a warning
+        if None not in (self.e_j, self.e_c) and self.e_j < TRANSMON_RATIO_FLOOR * float(self.e_c):
             refuse(self, DomainError, "e_j", f"e_j/e_c = {self.e_j / self.e_c:.3g} is below the "
                                              f"transmon floor {TRANSMON_RATIO_FLOOR:g}")
+
+
+@dataclass
+class PairLink:
+    """Wiring of one transmon to its readout/Purcell resonator pair."""
+
+    id: str
+    transmon: str | None
+    readout: str
+    purcell: str
+    feedline: str | None = None
+    j: float | None = None
+    kappa: float | None = None
+    chi: float = 0.0
+    gamma_r: float = 0.0
+    gamma_p: float = 0.0
+    kappa_drive: float = 0.0
+
+    # the rates follow PairParams' rules; j and kappa are null until they are fitted
+    RULES = {"id": STR, "transmon": or_null(STR), "readout": STR, "purcell": STR,
+             "feedline": or_null(STR), "j": or_null(PairParams.RULES["j"]),
+             "kappa": or_null(PairParams.RULES["kappa"]),
+             **{n: PairParams.RULES[n] for n in ("chi", "gamma_r", "gamma_p", "kappa_drive")}}
+
+    def __post_init__(self):
+        check(self, DomainError)
+
+    def pair_params(self, f_r, f_p):
+        if self.j is None or self.kappa is None:
+            raise ValidationError(f"pair {self.id} has no fitted j/kappa")
+        return PairParams(f_r, f_p, **{name: getattr(self, name) for name in PairParams.RULES
+                                       if name not in ("f_r", "f_p")})
 
 
 # record field -> file key, where the two differ (the file's keys carry units)
 _KEYS = {ResonatorRecord: {"f_meas": "f_meas_hz"}, ShoelaceArray: {"pitch": "pitch_m"},
          TransmonEntry: {"f_q": "f_q_hz", "alpha": "alpha_hz", "e_j": "e_j_hz", "e_c": "e_c_hz",
                          "r_j": "r_j_ohm"},
+         PairLink: {n: f"{n}_hz" for n in ("j", "kappa", "chi", "gamma_r", "gamma_p",
+                                           "kappa_drive")},
+         # an action of an ``apply`` history entry
+         AppliedTrim: {"resonator_id": "resonator", "delta_l": "delta_l_m",
+                       "f_before": "f_before_hz", "f_after": "f_after_hz",
+                       "predicted_f": "predicted_f_hz"},
+         TrimPlan: {"objective_before": "objective_before_hz",
+                    "objective_after": "objective_after_hz"},
          AnnealConfig: {"r_start": "r_start_ohm", "r_target": "r_target_ohm",
                         "exposure_threshold": "exposure_threshold_s",
                         "power_schedule": "power_schedule_w",
                         "initial_exposure": "initial_exposure_s"}}
-# AppliedTrim field -> key of an action in an ``apply`` history entry
-_TRIM_KEYS = {"resonator_id": "resonator", "n_remove": "n_remove", "delta_l": "delta_l_m",
-              "f_before": "f_before_hz", "f_after": "f_after_hz", "predicted_f": "predicted_f_hz"}
 
 
 def _keyed(cls, defaults=True):
@@ -96,13 +133,6 @@ def _doc(record):
 # A table reads an object: key -> rule, with a nested table for a nested object.
 # A file gives no default shoelaces.
 _RESONATOR = {**_keyed(ResonatorRecord), "shoelaces": _keyed(ShoelaceArray, defaults=False)}
-_TRANSMON = _keyed(TransmonEntry)
-# each key is a PairLink field, with "_hz" on the rates, which follow PairParams' rules
-_RATES = PairParams.RULES
-_PAIR = {"id": STR, "transmon": or_null(STR), "readout": STR, "purcell": STR,
-         "feedline": or_null(STR), **{f"{n}_hz": or_null(_RATES[n]) for n in ("j", "kappa")},
-         **{f"{n}_hz": replace(_RATES[n], default=0.0)
-            for n in ("chi", "gamma_r", "gamma_p", "kappa_drive")}}
 # the history entries that cycle_outcome and record_apply read back
 _EVENTS = {
     "fit": {"pair": STR, "f_r_hz": POSITIVE, "f_p_hz": POSITIVE,
@@ -110,9 +140,7 @@ _EVENTS = {
     "apply": {"cycle_index": Field(lambda v: COUNT.test(v) and v >= 1, "an integer >= 1"),
               "plan_sha256": replace(STR, default=None),
               "simulated": replace(BOOL, default=False),
-              "actions": list_of({"resonator": STR, "n_remove": COUNT,
-                                  "delta_l_m": NON_NEGATIVE, "f_before_hz": POSITIVE,
-                                  "f_after_hz": POSITIVE, "predicted_f_hz": POSITIVE})},
+              "actions": list_of(_keyed(AppliedTrim))},
 }
 
 
@@ -122,13 +150,10 @@ def _event_rule(entry):
 
 
 _REGISTRY = {"device_id": replace(STR, default=""), "resonators": list_of(_RESONATOR, ()),
-             "transmons": list_of(_TRANSMON, ()), "pairs": list_of(_PAIR, ()),
-             "history": list_of(_event_rule, ())}
-# Infinity is a valid spacing: a feedline with one pair has no neighbours
-_OBJECTIVE = Field(lambda v: is_real(v) and v >= 0, "a non-negative number", 0.0, float)
-_PLAN = {"cycle_index": replace(COUNT, default=0), "feasible": replace(BOOL, default=True),
-         "objective_before_hz": _OBJECTIVE, "objective_after_hz": _OBJECTIVE,
-         "notes": list_of(STR, ()), "actions": list_of(TrimAction.RULES),
+             "transmons": list_of(_keyed(TransmonEntry), ()),
+             "pairs": list_of(_keyed(PairLink), ()), "history": list_of(_event_rule, ())}
+# a plan file holds its actions as objects, and its provenance
+_PLAN = {**_keyed(TrimPlan), "actions": list_of(TrimAction.RULES),
          "provenance": replace(OBJECT, default={})}
 # simulate anneal: the AnnealConfig fields in order, and the response
 # dR/R0 = c log(1 + t/t0) as power in W -> [c, t0_s]
@@ -165,34 +190,6 @@ def _built(cls, entry, problems=None, at="", **extra):
         problems += [f"{at}{keys.get(name, name)}{rest}" for name, rest in exc.fields]
 
 
-def _extras(entry, table):
-    return {k: v for k, v in entry.items() if k not in table}
-
-
-@dataclass
-class PairLink:
-    """Wiring of one transmon to its readout/Purcell resonator pair."""
-
-    id: str
-    transmon: str | None
-    readout: str
-    purcell: str
-    feedline: str | None = None
-    j: float | None = None
-    kappa: float | None = None
-    chi: float = 0.0
-    gamma_r: float = 0.0
-    gamma_p: float = 0.0
-    kappa_drive: float = 0.0
-    extras: dict = field(default_factory=dict)
-
-    def pair_params(self, f_r, f_p):
-        if self.j is None or self.kappa is None:
-            raise ValidationError(f"pair {self.id} has no fitted j/kappa")
-        return PairParams(f_r, f_p, **{name: getattr(self, name) for name in PairParams.RULES
-                                       if name not in ("f_r", "f_p")})
-
-
 @dataclass
 class DeviceRegistry:
     device_id: str
@@ -200,8 +197,8 @@ class DeviceRegistry:
     transmons: dict = field(default_factory=dict)  # id -> TransmonEntry
     pairs: dict = field(default_factory=dict)  # id -> PairLink
     history: list = field(default_factory=list)  # append-only
+    # the document as read: its unknown keys, at every level, are written back
     extras: dict = field(default_factory=dict)
-    res_extras: dict = field(default_factory=dict)
 
     def validate(self):
         """Check the cross-references: a pair's resonators exist, have the
@@ -274,8 +271,7 @@ class DeviceRegistry:
         self.history.append({"event": "apply", "cycle_index": cycle, "plan": plan_path,
                              "plan_sha256": plan_sha256, "simulated": nu_true is not None,
                              "nu_rho_true_m_per_s": nu_true, "provenance": provenance,
-                             "actions": [{key: getattr(t, name) for name, key in _TRIM_KEYS.items()}
-                                         for t in trims]})
+                             "actions": [_doc(t) for t in trims]})
         return cycle, trims
 
     def record_fit_nu_rho(self, cycle_index):
@@ -303,9 +299,9 @@ class DeviceRegistry:
                 if not in_cycle:
                     continue
                 for a in h["actions"]:
-                    trims.append(AppliedTrim(**{n: a[key] for n, key in _TRIM_KEYS.items()}))
+                    trims.append(_built(AppliedTrim, a))
                     if h.get("simulated"):
-                        measured[a["resonator"]] = a["f_after_hz"]
+                        measured[trims[-1].resonator_id] = trims[-1].f_after
             elif (h.get("event") == "fit" and in_cycle and h.get("converged", True)
                   and h["pair"] in self.pairs):
                 link = self.pairs[h["pair"]]
@@ -314,13 +310,17 @@ class DeviceRegistry:
 
 
 def _registry_to_doc(reg):
+    """reg's records, each laid over its entry in reg.extras, found by id."""
+    def entries(kind):
+        old = {e["id"]: e for e in reg.extras.get(kind, ())}
+        return [(old.get(rid, {}), rec) for rid, rec in sorted(getattr(reg, kind).items())]
+
     return {**reg.extras, "version": SCHEMA_VERSION, "device_id": reg.device_id,
-            "resonators": [{**reg.res_extras.get(rid, {}), **_doc(rec),
-                            "shoelaces": _doc(rec.shoelaces)}
-                           for rid, rec in sorted(reg.resonators.items())],
-            "transmons": [{**t.extras, **_doc(t)} for _, t in sorted(reg.transmons.items())],
-            "pairs": [{**p.extras, **{key: getattr(p, key.removesuffix("_hz")) for key in _PAIR}}
-                      for _, p in sorted(reg.pairs.items())],
+            "resonators": [{**e, **_doc(rec), "shoelaces": {**e.get("shoelaces", {}),
+                                                             **_doc(rec.shoelaces)}}
+                           for e, rec in entries("resonators")],
+            "transmons": [{**e, **_doc(t)} for e, t in entries("transmons")],
+            "pairs": [{**e, **_doc(p)} for e, p in entries("pairs")],
             "history": list(reg.history)}
 
 
@@ -331,22 +331,15 @@ def _doc_to_registry(doc):
         ids = [entry["id"] for entry in values[kind]]
         problems += [f"{kind}[{i}].id: duplicate id {rid!r}"
                      for i, rid in enumerate(ids) if rid in ids[:i]]
-    reg = DeviceRegistry(values["device_id"], extras=_extras(doc, {"version", *_REGISTRY}),
-                         history=list(doc.get("history", ())))
+    reg = DeviceRegistry(values["device_id"], history=list(doc.get("history", ())), extras=values)
     for i, entry in enumerate(values["resonators"]):
         reg.resonators[entry["id"]] = _built(ResonatorRecord, entry, shoelaces=_built(
             ShoelaceArray, entry["shoelaces"], problems, f"resonators[{i}].shoelaces."))
-        if _extras(entry, _RESONATOR):
-            reg.res_extras[entry["id"]] = _extras(entry, _RESONATOR)
-    for i, entry in enumerate(values["transmons"]):
-        reg.transmons[entry["id"]] = _built(TransmonEntry, entry, problems, f"transmons[{i}].",
-                                            extras=_extras(entry, _TRANSMON))
+    for kind, cls in (("transmons", TransmonEntry), ("pairs", PairLink)):
+        for i, entry in enumerate(values[kind]):
+            getattr(reg, kind)[entry["id"]] = _built(cls, entry, problems, f"{kind}[{i}].")
     if problems:
         raise ValidationError("registry validation failed", paths=problems)
-    for entry in values["pairs"]:
-        reg.pairs[entry["id"]] = PairLink(
-            **{key.removesuffix("_hz"): entry[key] for key in _PAIR},
-            extras=_extras(entry, _PAIR))
     reg.validate()
     return reg
 
@@ -460,28 +453,15 @@ def save_trace(trace, path):
 
 
 def plan_to_doc(plan, provenance=None):
-    return {
-        "version": PLAN_VERSION,
-        "cycle_index": plan.cycle_index,
-        "feasible": plan.feasible,
-        "objective_before_hz": plan.objective_before,
-        "objective_after_hz": plan.objective_after,
-        "notes": list(plan.notes),
-        "actions": [asdict(a) for a in plan.actions],
-        "provenance": dict(provenance or {}),
-    }
+    return {**_doc(plan), "version": PLAN_VERSION, "actions": [_doc(a) for a in plan.actions],
+            "provenance": dict(provenance or {})}
 
 
 def _doc_to_plan(doc):
     values = _read(doc, "plan", _PLAN, PLAN_VERSION)
-    plan = TrimPlan(
-        actions=[_built(TrimAction, a) for a in values["actions"]],
-        objective_before=values["objective_before_hz"],
-        objective_after=values["objective_after_hz"],
-        cycle_index=values["cycle_index"],
-        feasible=values["feasible"],
-        notes=list(values["notes"]),
-    )
+    # an absent notes key reads as ()
+    plan = _built(TrimPlan, {**values, "notes": list(values["notes"]),
+                             "actions": [_built(TrimAction, a) for a in values["actions"]]})
     return plan, dict(values["provenance"])
 
 

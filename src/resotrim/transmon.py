@@ -138,11 +138,8 @@ def invert_spectroscopy(f_q, alpha, cutoff=DEFAULT_CUTOFF):
         raise DomainError("need a finite f_q, alpha < 0 and |alpha| below f_q")
     e_c0 = -alpha
     e_j0 = (f_q + e_c0) * (f_q + e_c0) / (8.0 * e_c0)  # where asymptotic_fq is f_q
-    # the leading-order seed underestimates the true ratio near the floor, so only
-    # clearly non-transmon inputs are rejected here; the solution meets the exact floor below
-    if e_j0 / e_c0 < 0.5 * TRANSMON_RATIO_FLOOR:
-        raise InversionError(f"seed ratio {e_j0 / e_c0:.1f} far below transmon floor "
-                             f"{TRANSMON_RATIO_FLOOR}; no transmon-regime solution")
+    if e_j0 == 0.0:  # (f_q + e_c0)**2 underflows, far below any transmon
+        raise InversionError(f"no transmon solution: the seed E_J of f_q {f_q!r} Hz underflows")
     e_c1 = e_c0 / (1.0 + 9.0 / (16.0 * math.sqrt(e_j0 / (2.0 * e_c0))))
 
     def residual(ej, ec):

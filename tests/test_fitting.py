@@ -8,9 +8,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.signal import find_peaks, peak_widths
 
 from resotrim import fitting
-from resotrim.errors import InvalidTraceError, NoResonanceError
+from resotrim.errors import InvalidTraceError, NoResonanceError, ResotrimError
 from resotrim.fitting import (
     MIN_FIT_POINTS,
+    FitResult,
     TransmissionTrace,
     correct_baseline,
     fit_pair,
@@ -282,6 +283,25 @@ class TestFitPair:
         result = fit_pair(tr, initial_guess(tr), model="full")
         assert runs[0] == (False, fitting.MAX_ITER)
         assert result.converged
+
+    def test_a_guess_with_huge_rates_starts_inside_the_box(self):
+        # 4 j^2 overflowed a Python float from this guess before its start was clipped
+        truth = PairParams(f_r=7.5e9, f_p=7.503e9, j=10e6, kappa=3e6)
+        tr = make_trace(truth, span=1e8, n=801)
+        result = fit_pair(tr, PairParams(1.2e163, 3.3e280, 3.3e189, 4.4e-299))
+        assert result.params.f_p <= tr.freqs[-1] + (tr.freqs[-1] - tr.freqs[0])
+        assert result.params.j <= 1e12 * (1 + 1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(-300, 300).map(lambda e: 10.0**e), min_size=4, max_size=4),
+           st.sampled_from(["ideal", "full"]))
+    def test_any_guess_gives_a_fit_or_a_resotrim_error(self, guess, model):
+        truth = PairParams(f_r=7.5e9, f_p=7.503e9, j=10e6, kappa=3e6)
+        tr = make_trace(truth, span=1e8, n=801)
+        try:
+            assert isinstance(fit_pair(tr, PairParams(*guess), model=model), FitResult)
+        except ResotrimError:
+            pass
 
     def test_rejects_unknown_model(self):
         truth = PairParams(f_r=7.5e9, f_p=7.503e9, j=10e6, kappa=3e6)

@@ -1,9 +1,11 @@
 """Registry, trace-file, and plan-file round-trip tests."""
 
 import ast
+import errno
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -17,6 +19,7 @@ from resotrim.errors import (DomainError, InvalidParamsError, ParseError, Resotr
 from resotrim.fitting import TransmissionTrace
 from resotrim.pairmodel import PairParams
 from resotrim.planner import (
+    AppliedTrim,
     ResonatorRecord,
     ShoelaceArray,
     TrimAction,
@@ -95,6 +98,8 @@ class TestRegistryRoundTrip:
         doc = json.loads(path.read_text())
         doc["lab_station"] = "fridge3"
         doc["resonators"][0]["notes"] = "slightly lossy"
+        doc["resonators"][0]["shoelaces"]["batch"] = "B7"
+        doc["transmons"][1]["junction"] = {"area_um2": 0.02}
         doc["pairs"][0]["fit_id"] = "fit-0042"
         path.write_text(json.dumps(doc))
         loaded = load_registry(path)
@@ -102,6 +107,8 @@ class TestRegistryRoundTrip:
         out = json.loads(path.read_text())
         assert out["lab_station"] == "fridge3"
         assert out["resonators"][0]["notes"] == "slightly lossy"
+        assert out["resonators"][0]["shoelaces"]["batch"] == "B7"
+        assert out["transmons"][1]["junction"] == {"area_um2": 0.02}
         assert out["pairs"][0]["fit_id"] == "fit-0042"
 
     def test_missing_resonator_reference(self, tmp_path):
@@ -164,6 +171,29 @@ class TestRegistryRoundTrip:
         assert exc.value.paths == [
             "resonators[0].shoelaces.remaining: expected a non-negative integer, got -1"]
         assert path.read_bytes() == before
+
+    def test_a_failed_write_leaves_the_file_and_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "reg.json"
+        save_registry(device_fixture(1), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, "Permission denied", src)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="Permission denied") as exc:
+            save_registry(device_fixture(2), path)
+        assert exc.value.filename == path
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["reg.json"]
+
+    def test_a_history_action_checks_itself_when_read_back(self):
+        reg = device_fixture(1)
+        reg.history.append({"event": "apply", "cycle_index": 1, "simulated": True, "actions": [
+            {"resonator": "p00", "n_remove": -1, "delta_l_m": 5e-6, "f_before_hz": 7.215e9,
+             "f_after_hz": 7.2e9, "predicted_f_hz": 7.2e9}]})
+        with pytest.raises(DomainError, match="AppliedTrim.n_remove"):
+            reg.cycle_outcome(1)
 
     def test_next_cycle_index(self):
         reg = device_fixture(1)
@@ -280,7 +310,7 @@ def _replaced(doc, path, value):
 def _valid_registry_doc(tmp_path):
     reg = device_fixture(2)
     reg.extras["lab_station"] = "fridge3"
-    reg.res_extras["p00"] = {"notes": "slightly lossy"}
+    reg.extras["resonators"] = [{"id": "p00", "notes": "slightly lossy"}]
     reg.pairs["pair01"].transmon = None
     reg.history += [
         {"event": "fit", "pair": "pair00", "trace": "t.csv", "converged": True,
@@ -403,11 +433,16 @@ TRANSMON = {"id": "q0", "f_q_hz": 6e9, "alpha_hz": -3e8, "e_j_hz": 1.6e10, "e_c_
 LONE_REGISTRY = {"version": 1, "resonators": [RESONATOR], "transmons": [TRANSMON]}
 PAIR_REGISTRY = {"version": 1, "resonators": [
     RESONATOR, {**RESONATOR, "id": "p0", "role": "purcell", "f_meas_hz": 7.51e9}], "pairs": [{
-        "id": "pair0", "transmon": None, "readout": "r0", "purcell": "p0", "j_hz": 1e7,
-        "kappa_hz": 2e7, "chi_hz": -1e6, "gamma_r_hz": 1e4, "gamma_p_hz": 2e4,
+        "id": "pair0", "transmon": None, "readout": "r0", "purcell": "p0", "feedline": "fl0",
+        "j_hz": 1e7, "kappa_hz": 2e7, "chi_hz": -1e6, "gamma_r_hz": 1e4, "gamma_p_hz": 2e4,
         "kappa_drive_hz": 3e4}]}
+APPLIED_REGISTRY = {**LONE_REGISTRY, "history": [{"event": "apply", "cycle_index": 1, "actions": [{
+    "resonator": "r0", "n_remove": 2, "delta_l_m": 1e-5, "f_before_hz": 7.52e9,
+    "f_after_hz": 7.5e9, "predicted_f_hz": 7.501e9}]}]}
 PLAN = {"version": 1, "actions": [{"resonator_id": "p0", "n_remove": 3, "delta_l": 1.5e-5,
                                    "predicted_delta_f": -3e6, "predicted_f": 7.518e9}]}
+PLAN_TOP = {"version": 1, "actions": [], "cycle_index": 2, "feasible": False,
+            "objective_before_hz": 3e6, "objective_after_hz": 1e6, "notes": ["best effort"]}
 
 
 def _paths(prefix, keys):
@@ -420,6 +455,17 @@ RECORDS = {
         "f_r": ("resonators", 0, "f_meas_hz"), "f_p": ("resonators", 1, "f_meas_hz"),
         **_paths(("pairs", 0), {name: f"{name}_hz" for name in (
             "j", "kappa", "gamma_r", "gamma_p", "kappa_drive", "chi")})}),
+    PairLink: (load_registry, PAIR_REGISTRY, _paths(("pairs", 0), {
+        **{name: name for name in ("id", "transmon", "readout", "purcell", "feedline")},
+        **{name: f"{name}_hz" for name in (
+            "j", "kappa", "chi", "gamma_r", "gamma_p", "kappa_drive")}})),
+    AppliedTrim: (load_registry, APPLIED_REGISTRY, _paths(("history", 0, "actions", 0), {
+        "resonator_id": "resonator", "n_remove": "n_remove", "delta_l": "delta_l_m",
+        "f_before": "f_before_hz", "f_after": "f_after_hz", "predicted_f": "predicted_f_hz"})),
+    TrimPlan: (load_plan, PLAN_TOP, _paths((), {
+        "actions": "actions", "cycle_index": "cycle_index", "feasible": "feasible",
+        "objective_before": "objective_before_hz", "objective_after": "objective_after_hz",
+        "notes": "notes"})),
     ResonatorRecord: (load_registry, LONE_REGISTRY, _paths(
         ("resonators", 0), {"id": "id", "role": "role", "f_meas": "f_meas_hz"})),
     ShoelaceArray: (load_registry, LONE_REGISTRY, _paths(
@@ -479,6 +525,11 @@ def test_a_record_refuses_a_value_exactly_when_its_loader_does(tmp_path, cls):
     def replace_one_field(name, value):
         # a pair's j and kappa are null in a file until they are fitted
         assume(not (cls is PairParams and value is None and name in ("j", "kappa")))
+        # the registry, not the record, checks what a pair's names refer to
+        assume(not (cls is PairLink and isinstance(value, str)
+                    and name in ("transmon", "readout", "purcell")))
+        # a file holds no tuple: an empty one reaches it as an empty list
+        assume(not (cls is TrimPlan and isinstance(value, tuple) and not value))
         try:
             cls(**{**valid, name: value})
             built = True
@@ -500,6 +551,10 @@ def test_a_record_refuses_a_value_exactly_when_its_loader_does(tmp_path, cls):
 PAIR_PARAMS = dict(f_r=7.5e9, f_p=7.51e9, j=1e7, kappa=2e7)
 CONFIG = dict(r_start=6000.0, r_target=6100.0, exposure_threshold=100.0, power_schedule=[0.17])
 ACTION = dict(resonator_id="r0", delta_l=5e-6, predicted_delta_f=-1e6, predicted_f=7e9)
+TRIM = dict(resonator_id="r0", n_remove=1, delta_l=5e-6, f_before=7.5e9, f_after=7.49e9,
+            predicted_f=7.49e9)
+LINK = dict(id="pair0", transmon=None, readout="r0", purcell="p0")
+TOP = dict(actions=[], objective_before=1e6, objective_after=0.0)
 # values that a loader refuses in a file; all but the role constructed without
 # complaint before the records checked themselves with the loaders' rules
 REFUSED = [
@@ -513,6 +568,12 @@ REFUSED = [
         ("exposure_threshold", -1), ("exposure_growth", 0), ("power_schedule", [-1]),
         ("initial_exposure", math.nan)]],
     (BlobModel, dict(mean0=(math.nan, 0), mean1=(1, 0), sigma=1.0)),
+    *[(TrimPlan, dict(TOP, **{name: value})) for name, value in [
+        ("objective_before", math.nan), ("cycle_index", -1), ("feasible", "yes"),
+        ("notes", "x")]],
+    (AppliedTrim, dict(TRIM, n_remove=-1)), (AppliedTrim, dict(TRIM, f_after=math.nan)),
+    *[(PairLink, dict(LINK, **{name: value})) for name, value in [
+        ("j", -5.0), ("chi", math.nan), ("readout", 3)]],
 ]
 
 

@@ -143,14 +143,19 @@ class TestInvertSpectroscopy:
         with pytest.raises((InversionError, DomainError)):
             invert_spectroscopy(2.0e9, -1.5e9)
 
-    def test_refuses_a_seed_ratio_below_half_the_floor(self):
-        # the spectrum of E_J / E_c = 19 seeds a ratio of 9.0 at leading order
-        with pytest.raises(InversionError, match="seed ratio 9.0 far below"):
+    def test_refuses_the_spectrum_of_a_ratio_below_the_floor(self):
+        with pytest.raises(InversionError, match="solution ratio 19.0 below transmon floor"):
             invert_spectroscopy(*transmon_spectrum(19 * 250e6, 250e6))
+
+    @pytest.mark.parametrize("ratio", [20.0, 20.005])
+    def test_inverts_the_spectrum_of_a_ratio_at_the_floor(self, ratio):
+        # at leading order these spectra seed a ratio near 10, half the floor
+        e_j, e_c = invert_spectroscopy(*transmon_spectrum(ratio * 250e6, 250e6))
+        assert e_j / e_c == pytest.approx(ratio, rel=1e-9)
 
     def test_refuses_a_solution_ratio_below_the_floor(self, monkeypatch):
         # a spectrum that needs twice the true E_J: the data of E_J / E_c = 30
-        # pass the seed check and solve to a ratio of 15
+        # solve to a ratio of 15
         true = transmon_spectrum
         monkeypatch.setattr(transmon, "transmon_spectrum",
                             lambda e_j, e_c, cutoff, jacobian: true(2 * e_j, e_c, cutoff, jacobian))
