@@ -7,6 +7,7 @@ fitted in log space to stay positive.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -204,8 +205,6 @@ def initial_guess(trace):
 
 
 _IDEAL_NAMES = ("f_r", "f_p", "j", "kappa")
-# gamma_r and kappa_drive enter S21 only through their sum, so the full
-# model fits that sum as gamma_r and leaves kappa_drive at zero
 _FULL_NAMES = _IDEAL_NAMES + ("gamma_r", "gamma_p")
 
 
@@ -229,8 +228,7 @@ def _model_and_jacobian(theta, f):
 
 def _pack(guess, n, kappa_floor):
     """The first n of (f_r, f_p, log j, log kappa, log gamma_r, log gamma_p)."""
-    losses = [math.log(max(rate, kappa_floor))
-              for rate in (guess.gamma_r + guess.kappa_drive, guess.gamma_p)]
+    losses = [math.log(max(rate, kappa_floor)) for rate in (guess.gamma_r, guess.gamma_p)]
     return np.array([guess.f_r, guess.f_p, math.log(guess.j), math.log(guess.kappa), *losses][:n])
 
 
@@ -309,7 +307,8 @@ def _lm_loop(guess, f, z, n):
     span = f[-1] - f[0]
     lo = np.array([f[0] - span] * 2 + [math.log(1e-3)] * (n - 2))
     hi = np.array([f[-1] + span] * 2 + [math.log(1e12)] * (n - 2))
-    theta = np.clip(_pack(guess, n, kappa_floor=guess.kappa * 1e-6), lo, hi)
+    # a zero loss rate starts at a millionth of kappa, and never at 0, whose log fails
+    theta = np.clip(_pack(guess, n, max(guess.kappa * 1e-6, sys.float_info.min)), lo, hi)
     r, jac = _residuals(theta, f, z)
     cost = float(r @ r)
     lam = 1e-3

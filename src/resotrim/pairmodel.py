@@ -14,8 +14,7 @@ from .errors import DomainError, InvalidParamsError
 from .rules import FINITE, NON_NEGATIVE, POSITIVE, check
 
 __all__ = [
-    "PairParams", "ModeDescriptor", "s21_ideal", "s21_full", "kappa_eff_pair", "eigenmodes",
-    "readout_photon_fraction", "matching_figure",
+    "PairParams", "ModeDescriptor", "s21", "kappa_eff_pair", "eigenmodes", "matching_figure",
 ]
 
 
@@ -35,12 +34,10 @@ class PairParams:
     kappa: float
     gamma_r: float = 0.0
     gamma_p: float = 0.0
-    kappa_drive: float = 0.0
     chi: float = 0.0
 
     RULES = {"f_r": POSITIVE, "f_p": POSITIVE, "j": POSITIVE, "kappa": POSITIVE,
-             "gamma_r": NON_NEGATIVE, "gamma_p": NON_NEGATIVE, "kappa_drive": NON_NEGATIVE,
-             "chi": FINITE}
+             "gamma_r": NON_NEGATIVE, "gamma_p": NON_NEGATIVE, "chi": FINITE}
 
     def __post_init__(self):
         check(self, InvalidParamsError)
@@ -75,8 +72,8 @@ class ModeDescriptor:
 def _s21(f, f_r, f_p, j, kappa, g_r=0.0, g_p=0.0, n_jac=0):
     """Pair transmission from plain-float parameters, optionally with partials.
 
-    ``g_r`` is the extra readout decay gamma_r + kappa_drive and ``g_p``
-    the Purcell intrinsic loss gamma_p. With ``n_jac`` of 4 or 6, also
+    ``g_r`` is the readout loss rate gamma_r and ``g_p`` the Purcell
+    intrinsic loss gamma_p. With ``n_jac`` of 4 or 6, also
     returns the first ``n_jac`` partial derivatives of S21 with respect
     to (f_r, f_p, j, kappa, g_r, g_p), as a list of arrays.
     """
@@ -100,22 +97,12 @@ def _s21(f, f_r, f_p, j, kappa, g_r=0.0, g_p=0.0, n_jac=0):
     return 1.0 - num * inv, partials
 
 
-def s21_ideal(f, p):
-    """Lossless feedline transmission of a pair at probe frequency f (Hz).
-
-    Accepts a scalar or array of frequencies; returns complex values.
+def s21(f, p):
+    """Feedline transmission of a pair, intrinsic losses included, at probe
+    frequency f (Hz). Accepts a scalar or array of frequencies; returns
+    complex values.
     """
-    out = _s21(np.asarray(f, dtype=float), p.f_r, p.f_p, p.j, p.kappa)
-    return out if np.ndim(out) else complex(out)
-
-
-def s21_full(f, p):
-    """Feedline transmission including intrinsic losses and drive-line decay.
-
-    Reduces to :func:`s21_ideal` when gamma_r = gamma_p = kappa_drive = 0.
-    """
-    out = _s21(np.asarray(f, dtype=float), p.f_r, p.f_p, p.j, p.kappa,
-               p.gamma_r + p.kappa_drive, p.gamma_p)
+    out = _s21(np.asarray(f, dtype=float), p.f_r, p.f_p, p.j, p.kappa, p.gamma_r, p.gamma_p)
     return out if np.ndim(out) else complex(out)
 
 
@@ -154,6 +141,8 @@ def kappa_eff_pair(j, kappa, delta_pr):
     j = np.asarray(j, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     delta_pr = np.asarray(delta_pr, dtype=float)
+    if not all(np.all(np.isfinite(x)) for x in (j, kappa, delta_pr)):
+        raise DomainError("j, kappa and delta_pr must be finite")
     if np.any(j <= 0) or np.any(kappa <= 0):
         raise DomainError("j and kappa must be positive")
     vals, _, _ = _modes(0.0, delta_pr, j, 0.0, kappa)
@@ -180,7 +169,7 @@ def eigenmodes(p, qubit_state="ground"):
     # last axis: ground, excited (chi sits on the bare readout frequency)
     vals, weights, gap = _modes(
         p.f_r + np.array([0.0, p.chi]), p.f_p, p.j,
-        p.gamma_r + p.kappa_drive, p.kappa + p.gamma_p,
+        p.gamma_r, p.kappa + p.gamma_p,
     )
     pulls = vals.real[:, 1] - vals.real[:, 0]
     k = 0 if qubit_state == "ground" else 1
@@ -200,15 +189,8 @@ def eigenmodes(p, qubit_state="ground"):
     )
 
 
-def readout_photon_fraction(q_i, q_c):
-    """Upper bound on the detected readout-photon fraction, Qi/2(Qc+Qi)."""
-    if q_i <= 0 or q_c <= 0:
-        raise DomainError("quality factors must be positive")
-    return q_i / (2.0 * (q_c + q_i))
-
-
 def matching_figure(chi_eff, kappa_eff):
     """SNR matching ratio |2 chi_eff| / kappa_eff; 1.0 is the optimum."""
-    if kappa_eff <= 0:
-        raise DomainError("kappa_eff must be positive")
+    if not (0 < kappa_eff < np.inf and -np.inf < chi_eff < np.inf):
+        raise DomainError("kappa_eff must be positive and finite, chi_eff finite")
     return abs(2.0 * chi_eff) / kappa_eff

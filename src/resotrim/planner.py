@@ -24,7 +24,7 @@ from .rules import (BOOL, COUNT, NON_NEGATIVE, POSITIVE, STR, Field, check, is_r
 __all__ = [
     "ShoelaceArray", "ResonatorRecord", "TrimAction", "TrimPlan", "AppliedTrim", "PairEntry",
     "TwoCycleResult", "NAIVE_SLOPE", "DEFAULT_PITCH", "DEFAULT_TOTAL", "freq_shift",
-    "linear_shift_fn", "eq2_shift_fn", "plan_pair_match", "plan_match_all", "plan_crowding",
+    "linear_shift_fn", "eq2_shift_fn", "plan_match_all", "plan_crowding",
     "fit_nu_rho", "apply_plan", "velocity_samples", "simulate_outcomes", "two_cycle_protocol",
 ]
 
@@ -210,22 +210,11 @@ def _match(r, p, shift_fn):
     return _action(high, n, shift_fn), high, low
 
 
-def plan_pair_match(r, p, nu_rho, shift_fn=None):
-    """Trim the higher resonator of a pair to minimize |f_P - f_R|.
-
-    Downward-only moves can only close the gap from above, so the action
-    always targets whichever resonator currently sits higher. A gap
-    already within half a trim quantum, or a resonator with no shoelaces
-    left, yields a zero-removal action.
-    """
-    return _match(r, p, _shift_model(nu_rho, shift_fn))[0]
-
-
 def _pair_candidates(entry, nu_rho, shift_fn):
     """Joint candidates for one pair: match action plus k extra shoelaces
     removed from both resonators (shifts the hybridized modes down while
     keeping the pair matched)."""
-    base = plan_pair_match(entry.readout, entry.purcell, nu_rho, shift_fn)
+    base = _match(entry.readout, entry.purcell, _shift_model(nu_rho, shift_fn))[0]
     n_r = base.n_remove if base.resonator_id == entry.readout.id else 0
     n_p = base.n_remove if base.resonator_id == entry.purcell.id else 0
     head = min(entry.readout.shoelaces.remaining - n_r, entry.purcell.shoelaces.remaining - n_p)
@@ -464,10 +453,13 @@ class TwoCycleResult:
 
 
 def plan_match_all(pairs, nu_rho, shift_fn, cycle_index):
-    """One :func:`plan_pair_match` action per (readout, purcell) pair.
+    """Trim the higher resonator of each (readout, purcell) pair to minimize |f_P - f_R|.
 
-    A pair whose predicted |f_P - f_R| stays above half the trim quantum
-    of its trimmed resonator makes the plan infeasible, with a note.
+    Downward-only moves close a gap only from above, so each action trims
+    whichever resonator sits higher. A gap already within half a trim
+    quantum, or a resonator with no shoelaces left, gives no action. A
+    pair whose predicted |f_P - f_R| stays above half the trim quantum of
+    its trimmed resonator makes the plan infeasible, with a note.
     """
     shift_fn = _shift_model(nu_rho, shift_fn)
     actions, notes, gaps_after = [], [], []

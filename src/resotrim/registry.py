@@ -82,13 +82,12 @@ class PairLink:
     chi: float = 0.0
     gamma_r: float = 0.0
     gamma_p: float = 0.0
-    kappa_drive: float = 0.0
 
     # the rates follow PairParams' rules; j and kappa are null until they are fitted
     RULES = {"id": STR, "transmon": or_null(STR), "readout": STR, "purcell": STR,
              "feedline": or_null(STR), "j": or_null(PairParams.RULES["j"]),
              "kappa": or_null(PairParams.RULES["kappa"]),
-             **{n: PairParams.RULES[n] for n in ("chi", "gamma_r", "gamma_p", "kappa_drive")}}
+             **{n: PairParams.RULES[n] for n in ("chi", "gamma_r", "gamma_p")}}
 
     def __post_init__(self):
         check(self, DomainError)
@@ -104,8 +103,7 @@ class PairLink:
 _KEYS = {ResonatorRecord: {"f_meas": "f_meas_hz"}, ShoelaceArray: {"pitch": "pitch_m"},
          TransmonEntry: {"f_q": "f_q_hz", "alpha": "alpha_hz", "e_j": "e_j_hz", "e_c": "e_c_hz",
                          "r_j": "r_j_ohm"},
-         PairLink: {n: f"{n}_hz" for n in ("j", "kappa", "chi", "gamma_r", "gamma_p",
-                                           "kappa_drive")},
+         PairLink: {n: f"{n}_hz" for n in ("j", "kappa", "chi", "gamma_r", "gamma_p")},
          # an action of an ``apply`` history entry
          AppliedTrim: {"resonator_id": "resonator", "delta_l": "delta_l_m",
                        "f_before": "f_before_hz", "f_after": "f_after_hz",
@@ -149,9 +147,15 @@ def _event_rule(entry):
     return _EVENTS[event] if event in ("fit", "apply") else OBJECT
 
 
+# A trace shows a drive-line decay only in its sum with gamma_r, which holds it. A pair
+# entry's kappa_drive_hz must be 0, and every pair entry written has one; a non-zero one is
+# refused, not added to gamma_r_hz, where the kept key would add it again at every load.
+_NO_DRIVE = {"kappa_drive_hz": 0.0}
+_PAIR = {**_keyed(PairLink), "kappa_drive_hz": replace(number(
+    lambda v: v == 0, "0 (add a drive-line decay rate to gamma_r_hz)"), default=0.0)}
 _REGISTRY = {"device_id": replace(STR, default=""), "resonators": list_of(_RESONATOR, ()),
              "transmons": list_of(_keyed(TransmonEntry), ()),
-             "pairs": list_of(_keyed(PairLink), ()), "history": list_of(_event_rule, ())}
+             "pairs": list_of(_PAIR, ()), "history": list_of(_event_rule, ())}
 # a plan file holds its actions as objects, and its provenance
 _PLAN = {**_keyed(TrimPlan), "actions": list_of(TrimAction.RULES),
          "provenance": replace(OBJECT, default={})}
@@ -235,8 +239,7 @@ class DeviceRegistry:
             raise ValidationError(f"unknown pair {pair_id!r}")
         p = result.params
         if result.converged:
-            link.j, link.kappa, link.gamma_r = p.j, p.kappa, p.gamma_r
-            link.gamma_p, link.kappa_drive = p.gamma_p, p.kappa_drive
+            link.j, link.kappa, link.gamma_r, link.gamma_p = p.j, p.kappa, p.gamma_r, p.gamma_p
             self.resonators[link.readout].f_meas = p.f_r
             self.resonators[link.purcell].f_meas = p.f_p
         self.history.append({"event": "fit", "pair": pair_id, "trace": trace_path,
@@ -320,7 +323,7 @@ def _registry_to_doc(reg):
                                                              **_doc(rec.shoelaces)}}
                            for e, rec in entries("resonators")],
             "transmons": [{**e, **_doc(t)} for e, t in entries("transmons")],
-            "pairs": [{**e, **_doc(p)} for e, p in entries("pairs")],
+            "pairs": [{**_NO_DRIVE, **e, **_doc(p)} for e, p in entries("pairs")],
             "history": list(reg.history)}
 
 

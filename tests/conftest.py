@@ -4,14 +4,14 @@ import numpy as np
 from hypothesis import settings
 
 from resotrim.fitting import TransmissionTrace
-from resotrim.pairmodel import PairParams, eigenmodes, s21_ideal
+from resotrim.pairmodel import PairParams, eigenmodes, s21
 
 # CI runs with --hypothesis-profile=ci: the same examples on every run, so a
 # red CI run replays locally with the same flag
 settings.register_profile("ci", derandomize=True)
 
 
-def synth_trace(p, span, n, center=None, noise=0.0, seed=0, model=s21_ideal):
+def synth_trace(p, span, n, center=None, noise=0.0, seed=0, model=s21):
     """Sampled transmission of a pair, optionally with IQ noise."""
     if center is None:
         center = 0.5 * (p.f_r + p.f_p)

@@ -15,7 +15,7 @@ import resotrim
 from resotrim import cli, fitting
 from resotrim.cli import main
 from resotrim.fitting import TransmissionTrace
-from resotrim.pairmodel import PairParams, s21_ideal
+from resotrim.pairmodel import PairParams, s21
 from resotrim.planner import ResonatorRecord, ShoelaceArray, freq_shift, two_cycle_protocol
 from resotrim.registry import (
     DeviceRegistry,
@@ -58,7 +58,7 @@ class TestFitCommand:
         truth = PairParams(f_r=7.5e9, f_p=7.503e9, j=10e6, kappa=3e6)
         f = np.linspace(7.45e9, 7.55e9, 801)
         trace_path = tmp_path / "trace.csv"
-        save_trace(TransmissionTrace(freqs=f, values=s21_ideal(f, truth)), trace_path)
+        save_trace(TransmissionTrace(freqs=f, values=s21(f, truth)), trace_path)
         reg_path = tmp_path / "reg.json"
         small_registry(reg_path, [(7.5e9, 7.51e9)])
 
@@ -81,7 +81,7 @@ class TestFitCommand:
         truth = PairParams(f_r=7.5e9, f_p=7.503e9, j=10e6, kappa=3e6)
         f = np.linspace(7.45e9, 7.55e9, 801)
         trace_path = tmp_path / "trace.csv"
-        save_trace(TransmissionTrace(freqs=f, values=s21_ideal(f, truth)), trace_path)
+        save_trace(TransmissionTrace(freqs=f, values=s21(f, truth)), trace_path)
         result = runner.invoke(main, ["fit", "--trace", str(trace_path), "--no-baseline",
                                       "--pair", "pair0"])
         assert result.exit_code == 2
@@ -303,7 +303,7 @@ class TestPlanAndApply:
         truth = PairParams(f_r=7.80e9, f_p=7.82e9, j=10e6, kappa=20e6)
         f = np.linspace(7.71e9, 7.91e9, 1201)
         trace_path = tmp_path / "cycle1.csv"
-        save_trace(TransmissionTrace(freqs=f, values=s21_ideal(f, truth)), trace_path)
+        save_trace(TransmissionTrace(freqs=f, values=s21(f, truth)), trace_path)
         result = runner.invoke(main, ["fit", "--trace", str(trace_path), "--no-baseline",
                                       "--registry", str(reg_path), "--pair", "pair0"])
         assert result.exit_code == 3
@@ -408,7 +408,7 @@ class TestPlanAndApply:
         truth = PairParams(f_r=f_r, f_p=f_p, j=10e6, kappa=20e6)
         center = 0.5 * (f_r + f_p)
         f = np.linspace(center - 100e6, center + 100e6, 1201)
-        save_trace(TransmissionTrace(freqs=f, values=s21_ideal(f, truth)), trace_path)
+        save_trace(TransmissionTrace(freqs=f, values=s21(f, truth)), trace_path)
         result = runner.invoke(main, ["fit", "--trace", str(trace_path), "--no-baseline",
                                       "--registry", str(reg_path), "--pair", "pair0"])
         assert result.exit_code == 0, result.output
@@ -827,7 +827,7 @@ def test_malformed_invocation_is_one_report(runner, tmp_path, args, category):
     small_registry(reg_path, [(7.5e9, 7.521e9)])
     f = np.linspace(7.45e9, 7.57e9, 801)
     truth = PairParams(f_r=7.5e9, f_p=7.521e9, j=10e6, kappa=20e6)
-    save_trace(TransmissionTrace(freqs=f, values=s21_ideal(f, truth)), tmp_path / "trace.csv")
+    save_trace(TransmissionTrace(freqs=f, values=s21(f, truth)), tmp_path / "trace.csv")
     for name, fields in PAIR_VARIANTS.items():
         (tmp_path / f"{name}.json").write_text(
             json.dumps(_pair(json.loads(reg_path.read_text()), **fields)))

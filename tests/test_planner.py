@@ -28,7 +28,6 @@ from resotrim.planner import (
     linear_shift_fn,
     plan_crowding,
     plan_match_all,
-    plan_pair_match,
     simulate_outcomes,
     two_cycle_protocol,
     velocity_samples,
@@ -77,14 +76,14 @@ class TestFreqShift:
 
 
 def pair_count(f_low, f_high, remaining=10, pitch=DEFAULT_PITCH, model=None):
-    """Shoelaces plan_pair_match removes from a Purcell resonator at f_high
+    """Shoelaces plan_match_all removes from a Purcell resonator at f_high
     to bring it closest to a readout resonator at f_low."""
     high = ResonatorRecord(id="h", role="purcell", f_meas=f_high,
                            shoelaces=ShoelaceArray(total=remaining, remaining=remaining,
                                                    pitch=pitch))
-    action = plan_pair_match(record("l", "readout", f_low), high, NU_RHO, model)
-    assert action.resonator_id == "h"
-    return action.n_remove
+    actions = plan_match_all([(record("l", "readout", f_low), high)], NU_RHO, model, 1).actions
+    assert [a.resonator_id for a in actions] in ([], ["h"])
+    return actions[0].n_remove if actions else 0
 
 
 class TestShiftToCount:
@@ -139,16 +138,21 @@ class TestShiftToCount:
             lambda n: f_high + model(f_high, n * pitch), f0)
 
 
+def match_one(r, p, nu_rho=NU_RHO):
+    return plan_match_all([(r, p)], nu_rho, None, cycle_index=1)
+
+
 class TestPlanPairMatch:
     def test_already_matched(self):
         r = record("r1", "readout", 7.5e9)
         p = record("p1", "purcell", 7.5e9)
-        assert plan_pair_match(r, p, NU_RHO).n_remove == 0
+        plan = match_one(r, p)
+        assert plan.actions == [] and plan.feasible
 
     def test_trims_purcell_when_higher(self):
         r = record("r1", "readout", 7.5e9)
         p = record("p1", "purcell", 7.521e9)
-        a = plan_pair_match(r, p, NU_RHO)
+        (a,) = match_one(r, p).actions
         assert a.resonator_id == "p1"
         assert a.n_remove == 2
         assert abs(a.predicted_f - r.f_meas) < 5e6
@@ -156,27 +160,26 @@ class TestPlanPairMatch:
     def test_trims_readout_when_higher(self):
         r = record("r1", "readout", 7.521e9)
         p = record("p1", "purcell", 7.5e9)
-        a = plan_pair_match(r, p, NU_RHO)
+        (a,) = match_one(r, p).actions
         assert a.resonator_id == "r1"
         assert a.n_remove == 2
 
     def test_unmatchable_without_shoelaces(self):
         r = record("r1", "readout", 7.5e9)
         p = record("p1", "purcell", 7.53e9, remaining=0)
-        a = plan_pair_match(r, p, NU_RHO)
-        assert (a.resonator_id, a.n_remove, a.predicted_f) == ("p1", 0, 7.53e9)
+        plan = match_one(r, p)
+        assert plan.actions == [] and not plan.feasible
+        assert plan.notes == ["p1 cannot be matched to r1: predicted residual 3.000e+07 Hz"]
 
     def test_requires_velocity_or_shift_fn(self):
         r, p = record("r1", "readout", 7.5e9), record("p1", "purcell", 7.53e9)
-        for plan in (lambda: plan_pair_match(r, p, None),
-                     lambda: plan_match_all([(r, p)], None, None, 1)):
-            with pytest.raises(DomainError, match="provide nu_rho or shift_fn"):
-                plan()
+        with pytest.raises(DomainError, match="provide nu_rho or shift_fn"):
+            match_one(r, p, nu_rho=None)
 
     def test_role_check(self):
         r = record("r1", "readout", 7.5e9)
         with pytest.raises(DomainError):
-            plan_pair_match(r, r, NU_RHO)
+            match_one(r, r)
 
 
 def crowding_entries(freqs, j=10e6, kappa=2e6):
@@ -208,9 +211,9 @@ class TestPlanCrowding:
     def test_single_pair_reduces_to_matching(self):
         entries = crowding_entries([(7.5e9, 7.521e9)])
         plan = plan_crowding(entries, guard_band=20e6, nu_rho=NU_RHO)
-        direct = plan_pair_match(entries[0].readout, entries[0].purcell, NU_RHO)
+        direct = match_one(entries[0].readout, entries[0].purcell).actions
         assert len(plan.actions) == 1
-        assert plan.actions[0] == direct
+        assert plan.actions == direct
 
     def test_three_pair_scenario_reaches_guard_band(self):
         # two hybridized modes of different pairs only 5 MHz apart

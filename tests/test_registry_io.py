@@ -160,6 +160,21 @@ class TestRegistryRoundTrip:
         assert out["transmons"][0]["r_j_ohm"] == 6000
         assert isinstance(out["transmons"][0]["r_j_ohm"], int)
 
+    def test_a_drive_line_decay_may_only_be_zero(self, tmp_path):
+        # a trace shows a drive-line decay only in its sum with gamma_r, so a file puts it there
+        path, key = tmp_path / "reg.json", ("pairs", 0, "kappa_drive_hz")
+        path.write_text(json.dumps(_replaced(PAIR_REGISTRY, key, 3e4)))
+        with pytest.raises(ValidationError) as exc:
+            load_registry(path)
+        assert exc.value.paths == ["pairs[0].kappa_drive_hz: expected 0 (add a drive-line decay "
+                                   "rate to gamma_r_hz), got 30000.0"]
+        path.write_text(json.dumps(_replaced(PAIR_REGISTRY, key, 0)))
+        save_registry(load_registry(path), path)
+        text = path.read_bytes()
+        assert b'"kappa_drive_hz": 0.0' in text
+        save_registry(load_registry(path), path)
+        assert path.read_bytes() == text
+
     def test_save_refuses_what_load_would_refuse(self, tmp_path):
         reg = device_fixture(1)
         path = tmp_path / "reg.json"
@@ -434,8 +449,7 @@ LONE_REGISTRY = {"version": 1, "resonators": [RESONATOR], "transmons": [TRANSMON
 PAIR_REGISTRY = {"version": 1, "resonators": [
     RESONATOR, {**RESONATOR, "id": "p0", "role": "purcell", "f_meas_hz": 7.51e9}], "pairs": [{
         "id": "pair0", "transmon": None, "readout": "r0", "purcell": "p0", "feedline": "fl0",
-        "j_hz": 1e7, "kappa_hz": 2e7, "chi_hz": -1e6, "gamma_r_hz": 1e4, "gamma_p_hz": 2e4,
-        "kappa_drive_hz": 3e4}]}
+        "j_hz": 1e7, "kappa_hz": 2e7, "chi_hz": -1e6, "gamma_r_hz": 4e4, "gamma_p_hz": 2e4}]}
 APPLIED_REGISTRY = {**LONE_REGISTRY, "history": [{"event": "apply", "cycle_index": 1, "actions": [{
     "resonator": "r0", "n_remove": 2, "delta_l_m": 1e-5, "f_before_hz": 7.52e9,
     "f_after_hz": 7.5e9, "predicted_f_hz": 7.501e9}]}]}
@@ -454,11 +468,10 @@ RECORDS = {
     PairParams: (load_registry, PAIR_REGISTRY, {
         "f_r": ("resonators", 0, "f_meas_hz"), "f_p": ("resonators", 1, "f_meas_hz"),
         **_paths(("pairs", 0), {name: f"{name}_hz" for name in (
-            "j", "kappa", "gamma_r", "gamma_p", "kappa_drive", "chi")})}),
+            "j", "kappa", "gamma_r", "gamma_p", "chi")})}),
     PairLink: (load_registry, PAIR_REGISTRY, _paths(("pairs", 0), {
         **{name: name for name in ("id", "transmon", "readout", "purcell", "feedline")},
-        **{name: f"{name}_hz" for name in (
-            "j", "kappa", "chi", "gamma_r", "gamma_p", "kappa_drive")}})),
+        **{name: f"{name}_hz" for name in ("j", "kappa", "chi", "gamma_r", "gamma_p")}})),
     AppliedTrim: (load_registry, APPLIED_REGISTRY, _paths(("history", 0, "actions", 0), {
         "resonator_id": "resonator", "n_remove": "n_remove", "delta_l": "delta_l_m",
         "f_before": "f_before_hz", "f_after": "f_after_hz", "predicted_f": "predicted_f_hz"})),

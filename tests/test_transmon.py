@@ -162,6 +162,11 @@ class TestInvertSpectroscopy:
         with pytest.raises(InversionError, match="solution ratio 15.0 below"):
             invert_spectroscopy(*true(30 * 250e6, 250e6))
 
+    def test_refuses_a_seed_whose_e_j_underflows(self):
+        # (f_q + e_c)**2 underflows to 0 for f_q of this size
+        with pytest.raises(InversionError, match="the seed E_J of f_q 2.2e-261 Hz underflows"):
+            invert_spectroscopy(2.2e-261, -2.2e-309)
+
     def test_refuses_residuals_above_the_tolerance(self):
         # at 1e15 Hz a last Newton step of 1e-10 in log energy leaves kHz residuals
         with pytest.raises(InversionError, match="inversion residuals .* above 1000 Hz"):
